@@ -13,6 +13,7 @@ arguments used here; the test suite pins it against the standard library.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ def lanczos_gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
+@functools.lru_cache(maxsize=None)
 def unit_ball_measure(n: int) -> float:
     """Volume of the unit ball in R^n: pi**(n/2) / Gamma(n/2 + 1)."""
     if int(n) != n or n < 1:

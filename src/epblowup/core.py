@@ -27,6 +27,7 @@ __all__ = [
     "TailViolationError",
     "ModelParams",
     "RadialGrid",
+    "ShellGeometry",
     "RadialState",
     "ProfileSpec",
     "RunSetup",
@@ -90,6 +91,43 @@ class ModelParams:
         return self.R / (self.gamma - 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class ShellGeometry:
+    """Metric factors of a grid in dimension n; every array is read-only.
+
+    With r the cell centers and r_in, r_out the inner and outer cell edges:
+    weights = (r_out**n - r_in**n) / n, areas = edges**(n-1) (one per face),
+    area_jumps = a_out - a_in, inner_cut = r**n - r_in**n,
+    shell_sq = r_out**2 - r_in**2, outer_cut = r_out**2 - r**2 and
+    far_power = r**(2-n).
+    """
+
+    weights: np.ndarray
+    areas: np.ndarray
+    area_jumps: np.ndarray
+    inner_cut: np.ndarray
+    shell_sq: np.ndarray
+    outer_cut: np.ndarray
+    far_power: np.ndarray
+
+    @classmethod
+    def of(cls, edges: np.ndarray, centers: np.ndarray, n: int) -> "ShellGeometry":
+        r, edges_in, edges_out = centers, edges[:-1], edges[1:]
+        areas = edges ** (n - 1)
+        arrays = (
+            (edges_out**n - edges_in**n) / n,
+            areas,
+            areas[1:] - areas[:-1],
+            r**n - edges_in**n,
+            edges_out**2 - edges_in**2,
+            edges_out**2 - r**2,
+            r ** (2.0 - n),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(*arrays)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform cell-centered grid on [0, r_max].
@@ -97,12 +135,15 @@ class RadialGrid:
     Cell i spans [edges[i], edges[i+1]] and carries its value at centers[i].
     The innermost edge sits exactly at r = 0, which makes the origin a
     zero-area face: no special-casing is needed anywhere downstream.
+    Metric factors are computed once per dimension and shared afterwards.
     """
 
     r_max: float
     cells: int
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _geometry: dict[int, ShellGeometry] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not (self.r_max > 0.0):
@@ -117,9 +158,16 @@ class RadialGrid:
     def dr(self) -> float:
         return self.r_max / self.cells
 
+    def geometry(self, n: int) -> ShellGeometry:
+        """Metric factors in dimension n, built on first use."""
+        geo = self._geometry.get(n)
+        if geo is None:
+            geo = self._geometry[n] = ShellGeometry.of(self.edges, self.centers, n)
+        return geo
+
     def shell_weights(self, n: int) -> np.ndarray:
-        """Exact radial measure of each cell, (r_out**n - r_in**n) / n."""
-        return (self.edges[1:] ** n - self.edges[:-1] ** n) / n
+        """Exact radial measure of each cell, (r_out**n - r_in**n) / n (read-only)."""
+        return self.geometry(n).weights
 
     def refined(self, factor: int = 2) -> "RadialGrid":
         return RadialGrid(self.r_max, self.cells * factor)

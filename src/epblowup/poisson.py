@@ -37,7 +37,7 @@ def _check(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
         raise GridMismatchError(
             f"profile has {len(rho)} samples but grid has {grid.cells} cells"
         )
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValueError("density contains non-finite samples")
     return rho
 
@@ -55,22 +55,20 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
     rho = _check(rho, grid)
     if tail_check:
         check_tail(rho, grid, tail_tol)
-    r = grid.centers
-    edges_in = grid.edges[:-1]
-    edges_out = grid.edges[1:]
+    geo = grid.geometry(n)
 
     # inner moment: int_0^r s**(n-1) rho ds, cut at each cell center
-    whole_in = rho * grid.shell_weights(n)
+    whole_in = rho * geo.weights
     inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
-    inner = inner + rho * (r**n - edges_in**n) / n
+    inner = inner + rho * geo.inner_cut / n
 
     # outer moment: int_r^rmax s rho ds, cut the same way
-    whole_out = rho * (edges_out**2 - edges_in**2) / 2.0
+    whole_out = rho * geo.shell_sq / 2.0
     outer = np.concatenate((np.cumsum(whole_out[::-1])[::-1][1:], [0.0]))
-    outer = outer + rho * (edges_out**2 - r**2) / 2.0
+    outer = outer + rho * geo.outer_cut / 2.0
 
     surface = n * unit_ball_measure(n)
-    return -surface * (r ** (2.0 - n) * inner + outer)
+    return -surface * (geo.far_power * inner + outer)
 
 
 def radial_force(phi: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -98,11 +96,11 @@ def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarr
     Serves as an independent cross-check of radial_force in the tests.
     """
     rho = _check(rho, grid)
-    r = grid.centers
-    whole_in = rho * grid.shell_weights(n)
+    geo = grid.geometry(n)
+    whole_in = rho * geo.weights
     inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
-    inner = inner + rho * (r**n - grid.edges[:-1] ** n) / n
-    return n * (n - 2.0) * unit_ball_measure(n) * inner / r ** (n - 1.0)
+    inner = inner + rho * geo.inner_cut / n
+    return n * (n - 2.0) * unit_ball_measure(n) * inner / grid.centers ** (n - 1.0)
 
 
 def laplacian_residual(rho: np.ndarray, phi: np.ndarray, grid: RadialGrid,
@@ -128,10 +126,11 @@ def laplacian_residual(rho: np.ndarray, phi: np.ndarray, grid: RadialGrid,
             f"potential has {len(phi)} samples but grid has {grid.cells} cells"
         )
     source = n * (n - 2.0) * unit_ball_measure(n)
-    faces = grid.edges[1:-1] ** (n - 1)          # interior faces only
+    geo = grid.geometry(n)
+    faces = geo.areas[1:-1]                      # interior faces only
     dphi = np.diff(phi) / grid.dr                # derivative at interior faces
     dphi = dphi - grid.dr * source * np.diff(rho) / 8.0
-    w = grid.shell_weights(n)
+    w = geo.weights
     flux = faces * dphi
     lap = (flux[1:] - flux[:-1]) / w[1:-1]
     rhs = source * rho[1:-1]

@@ -49,7 +49,7 @@ class QuadratureSettings:
 
 
 def _require_finite(f: np.ndarray):
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NonFiniteSampleError("profile contains non-finite samples")
 
 

@@ -3,8 +3,11 @@
 Desk-scale scheme meant to exercise the diagnostics, not a production
 hydro code.  Conservative update on the radial metric with exact shell
 volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes,
-optional minmod MUSCL reconstruction, two-stage Heun time stepping, and a
-fresh potential solve at every stage.
+optional minmod MUSCL reconstruction, two-stage Heun time stepping, and the
+potential of each stage's density.  Stage 2 always solves for it; stage 1
+reuses the potential that run() solved to sample the previous step, which
+is the same array a fresh solve would return, and solves only after steps
+that were not sampled.
 
 Closures:
   IEP  -- conserved (rho, rho u),       pressure rho**gamma;
@@ -147,95 +150,112 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 def _pressure(rho: np.ndarray, ene: Optional[np.ndarray], mom: np.ndarray,
-              params: ModelParams, entropy0: Optional[np.ndarray],
-              mode: str) -> np.ndarray:
+              params: ModelParams, mode: str) -> np.ndarray:
     if mode == "IEP":
         return rho ** params.gamma
     kinetic = 0.5 * mom**2 / rho
     return (params.gamma - 1.0) * (ene - kinetic)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = np.sign(a)
-    return np.where(s * np.sign(b) > 0.0, s * np.minimum(np.abs(a), np.abs(b)), 0.0)
-
-
-def _reconstruct(v: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Face states (left, right) at interior faces 1..N-1 plus outflow face N."""
-    if scheme == "pc":
-        left = v[:-1]
-        right = v[1:]
-    else:
-        dv = np.zeros_like(v)
-        dv[1:-1] = _minmod(v[1:-1] - v[:-2], v[2:] - v[1:-1])
-        left = v[:-1] + 0.5 * dv[:-1]
-        right = v[1:] - 0.5 * dv[1:]
-    # outflow face: extrapolate the last cell as-is
-    left = np.append(left, v[-1])
-    right = np.append(right, v[-1])
-    return left, right
-
-
-def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
-         cfg: SolverConfig, entropy0, mode: str):
-    """Flux divergence + sources for the conserved fields; returns max speed."""
-    gamma, n = params.gamma, params.n
+def _primitives(rho, mom, ene, params: ModelParams, cfg: SolverConfig,
+                mode: str):
+    """Floored density, velocity, non-negative pressure and sound speed."""
     floor = cfg.density_floor
     rho = np.maximum(rho, floor)
     u = np.where(rho > 10.0 * floor, mom / rho, 0.0)
-    p = _pressure(rho, ene, mom, params, entropy0, mode)
+    p = _pressure(rho, ene, mom, params, mode)
     p = np.maximum(p, 0.0)
-    c = np.sqrt(gamma * p / rho)
+    c = np.sqrt(params.gamma * p / rho)
+    return rho, u, p, c
 
-    rho_l, rho_r = _reconstruct(rho, cfg.reconstruction)
-    u_l, u_r = _reconstruct(u, cfg.reconstruction)
-    p_l, p_r = _reconstruct(p, cfg.reconstruction)
-    p_l = np.maximum(p_l, 0.0)
-    p_r = np.maximum(p_r, 0.0)
-    rho_l = np.maximum(rho_l, floor)
-    rho_r = np.maximum(rho_r, floor)
 
-    c_l = np.sqrt(gamma * p_l / rho_l)
-    c_r = np.sqrt(gamma * p_r / rho_r)
-    s_face = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
+def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The slope of smaller magnitude where a and b share a strict sign,
+    else +0.0 (also where either is nan)."""
+    # fmax/fmin map nan to 0; adding +0.0 turns a -0.0 sum into +0.0
+    return np.fmax(np.minimum(a, b), 0.0) + np.fmin(np.maximum(a, b), 0.0) + 0.0
 
-    mom_l, mom_r = rho_l * u_l, rho_r * u_r
-    f_rho = 0.5 * (mom_l + mom_r) - 0.5 * s_face * (rho_r - rho_l)
-    f_mom = 0.5 * (mom_l * u_l + p_l + mom_r * u_r + p_r) \
-        - 0.5 * s_face * (mom_r - mom_l)
+
+def _reconstruct(v: np.ndarray, scheme: str) -> np.ndarray:
+    """Face states of each row of v at interior faces 1..N-1 plus the
+    outflow face N, stacked as one (2, rows, N) array [left, right]."""
+    rows, cells = v.shape
+    # all rows go through one pass over the flattened array; the entries
+    # that straddle two rows are overwritten by the outflow faces below
+    flat = v.reshape(-1)
+    faces = np.empty((2, rows * cells))
+    left, right = faces
+    if scheme == "pc":
+        left[:] = flat
+        right[:-1] = flat[1:]
+    else:
+        d = flat[1:] - flat[:-1]
+        half = np.zeros_like(flat)
+        half[1:-1] = 0.5 * _minmod(d[:-1], d[1:])
+        # no slope in the first and last cell of each row
+        half[::cells] = 0.0
+        half[cells - 1::cells] = 0.0
+        np.add(flat, half, out=left)
+        np.subtract(flat[1:], half[1:], out=right[:-1])
+    faces = faces.reshape(2, rows, cells)
+    # outflow face: extrapolate the last cell as-is
+    faces[:, :, -1] = v[:, -1]
+    return faces
+
+
+def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
+         cfg: SolverConfig, mode: str, phi: Optional[np.ndarray] = None):
+    """Flux divergence + sources for the conserved fields; returns max speed.
+
+    phi, when given, must be the potential of the floored density; it is
+    solved for otherwise.
+    """
+    gamma, n = params.gamma, params.n
+    rho, u, p, c = _primitives(rho, mom, ene, params, cfg, mode)
+
+    # every face quantity below is a (2, N) pair of left and right states
+    faces = _reconstruct(np.stack((rho, u, p)), cfg.reconstruction)
+    rho_f, u_f, p_f = faces[:, 0], faces[:, 1], faces[:, 2]
+    np.maximum(p_f, 0.0, out=p_f)
+    np.maximum(rho_f, cfg.density_floor, out=rho_f)
+    speed_l, speed_r = np.abs(u_f) + np.sqrt(gamma * p_f / rho_f)
+    half_s = 0.5 * np.maximum(speed_l, speed_r)
+
+    mom_f = rho_f * u_f
+    (rho_l, rho_r), (p_l, p_r), (mom_l, mom_r) = rho_f, p_f, mom_f
+    mu_l, mu_r = mom_f * u_f
+    fluxes = [
+        0.5 * (mom_l + mom_r) - half_s * (rho_r - rho_l),
+        0.5 * (mu_l + p_l + mu_r + p_r) - half_s * (mom_r - mom_l),
+    ]
+    if mode == "EP":
+        e_f = p_f / (gamma - 1.0) + 0.5 * rho_f * u_f**2
+        eu_l, eu_r = (e_f + p_f) * u_f
+        fluxes.append(0.5 * (eu_l + eu_r) - half_s * (e_f[1] - e_f[0]))
 
     # metric factors: face areas r**(n-1) (zero at the origin) and exact
     # shell volumes; the origin face needs no flux at all
-    areas = grid.edges ** (n - 1)
-    w = grid.shell_weights(n)
-    a_in, a_out = areas[:-1], areas[1:]
-    flux_rho = np.concatenate(([0.0], a_in[1:] * f_rho[:-1], [a_out[-1] * f_rho[-1]]))
-    flux_mom = np.concatenate(([0.0], a_in[1:] * f_mom[:-1], [a_out[-1] * f_mom[-1]]))
-
-    d_rho = -(flux_rho[1:] - flux_rho[:-1]) / w
-    d_mom = -(flux_mom[1:] - flux_mom[:-1]) / w
+    geo = grid.geometry(n)
+    w = geo.weights
+    flux = np.zeros((len(fluxes), grid.cells + 1))
+    for row, f in zip(flux, fluxes):
+        np.multiply(geo.areas[1:], f, out=row[1:])
+    div = -(flux[:, 1:] - flux[:, :-1]) / w
+    d_rho, d_mom = div[0], div[1]
+    d_ene = div[2] if mode == "EP" else None
     # well-balanced geometric source: cancels the area difference of a
     # uniform pressure exactly
-    d_mom += p * (a_out - a_in) / w
-
-    d_ene = None
-    if mode == "EP":
-        e_l = p_l / (gamma - 1.0) + 0.5 * rho_l * u_l**2
-        e_r = p_r / (gamma - 1.0) + 0.5 * rho_r * u_r**2
-        f_ene = 0.5 * ((e_l + p_l) * u_l + (e_r + p_r) * u_r) \
-            - 0.5 * s_face * (e_r - e_l)
-        flux_ene = np.concatenate(([0.0], a_in[1:] * f_ene[:-1],
-                                   [a_out[-1] * f_ene[-1]]))
-        d_ene = -(flux_ene[1:] - flux_ene[:-1]) / w
+    d_mom += p * geo.area_jumps / w
 
     if cfg.force_on:
-        phi = solve_potential(rho, grid, n, tail_check=False)
+        if phi is None:
+            phi = solve_potential(rho, grid, n, tail_check=False)
         grav = radial_force(phi, grid)
         d_mom = d_mom + params.delta * rho * grav
         if mode == "EP" and cfg.work_term:
             d_ene = d_ene + params.delta * mom * grav
 
-    max_speed = float(np.max(np.abs(u) + c))
+    max_speed = float((np.abs(u) + c).max())
     return d_rho, d_mom, d_ene, max_speed
 
 
@@ -261,9 +281,9 @@ def _conserved(state: RadialState, params: ModelParams):
 
 
 def _to_state(rho, mom, ene, params: ModelParams, cfg: SolverConfig,
-              mode: str, t: float, entropy0) -> RadialState:
+              mode: str, t: float) -> RadialState:
     u = np.where(rho > 10.0 * cfg.density_floor, mom / rho, 0.0)
-    p = _pressure(rho, ene, mom, params, entropy0, mode)
+    p = _pressure(rho, ene, mom, params, mode)
     entropy = None
     if mode == "EP":
         # recovered entropy field; only meaningful where there is gas
@@ -278,14 +298,19 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     """Advance one Heun step; returns (new state, info).
 
     info carries the dt actually used, the CFL-limited dt, and positivity
-    flags.  The potential is re-solved at both stages.
+    flags.  The potential is solved at stage 2.  Stage 1 reuses state.phi
+    when the density already sits at or above the floor, because then it
+    is exactly the potential a fresh solve would give; otherwise it solves
+    as well.
     """
     mode = state.mode
-    entropy0 = state.entropy
     rho0, mom0, ene0 = _conserved(state, params)
+    phi0 = None
+    if state.phi is not None and (state.rho >= cfg.density_floor).all():
+        phi0 = state.phi
 
     d_rho, d_mom, d_ene, speed = _rhs(rho0, mom0, ene0, grid, params, cfg,
-                                      entropy0, mode)
+                                      mode, phi0)
     dt_cfl = cfg.cfl * grid.dr / max(speed, 1e-300)
     if dt is None:
         dt = cfg.fixed_dt if cfg.fixed_dt is not None else dt_cfl
@@ -296,15 +321,15 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     rho1, mom1, ene1 = _clean(rho1, mom1, ene1, cfg, params.gamma)
 
     d_rho2, d_mom2, d_ene2, speed2 = _rhs(rho1, mom1, ene1, grid, params, cfg,
-                                          entropy0, mode)
+                                          mode)
     rho2 = 0.5 * (rho0 + rho1 + dt * d_rho2)
     mom2 = 0.5 * (mom0 + mom1 + dt * d_mom2)
     ene2 = 0.5 * (ene0 + ene1 + dt * d_ene2) if mode == "EP" else None
     rho2, mom2, ene2 = _clean(rho2, mom2, ene2, cfg, params.gamma)
 
-    new = _to_state(rho2, mom2, ene2, params, cfg, mode, state.time + dt, entropy0)
-    ok = bool(np.all(np.isfinite(new.rho)) and np.all(np.isfinite(new.u_r))
-              and np.all(np.isfinite(new.p)) and np.all(new.p >= 0.0))
+    new = _to_state(rho2, mom2, ene2, params, cfg, mode, state.time + dt)
+    ok = bool(np.isfinite(new.rho).all() and np.isfinite(new.u_r).all()
+              and np.isfinite(new.p).all() and (new.p >= 0.0).all())
     return new, {"dt": dt, "dt_cfl": dt_cfl, "max_speed": max(speed, speed2),
                  "positive": ok}
 
@@ -320,7 +345,7 @@ def _grad_norms(state: RadialState, grid: RadialGrid,
     # to it would silence the still-perfectly-wet envelope.
     wet = state.rho > 1e-6 * rho_scale
     du = np.where(wet, du, 0.0)
-    max_grad = float(np.max(np.abs(du)))
+    max_grad = float(np.abs(du).max())
     l2 = float(np.sqrt(np.sum(du**2) * grid.dr))
     return max_grad, l2
 
@@ -358,8 +383,9 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     if cfg.fixed_dt is not None:
         dt_base = cfg.fixed_dt
     else:
-        _, _, _, speed0 = _rhs(*_conserved(state, params), grid, params, cfg,
-                               state.entropy, state.mode)
+        _, u, _, c = _primitives(*_conserved(state, params), params, cfg,
+                                 state.mode)
+        speed0 = float((np.abs(u) + c).max())
         dt_raw = 0.9 * cfg.cfl * grid.dr / max(speed0, 1e-300)
         dt_base = cfg.t_end / max(1, math.ceil(cfg.t_end / dt_raw))
 
@@ -393,9 +419,10 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         sample_due = (steps % cfg.output_stride == 0) or (
             current.time >= cfg.t_end - 1e-12 * cfg.t_end)
         if sample_due:
-            sampled = current.with_phi(solve_potential(
+            # the next step reuses this potential at its first stage
+            current = current.with_phi(solve_potential(
                 current.rho, grid, params.n, tail_check=False))
-            q = compute_quantities(sampled, grid, params, cfg.quad_rule)
+            q = compute_quantities(current, grid, params, cfg.quad_rule)
             quantities.append(q)
             functionals.append(compute_functionals(q, params))
             extras["max_grad_u"].append(max_grad)
@@ -406,8 +433,10 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
             stop_reason = "gradient-blowup"
             break
 
-    final = current.with_phi(solve_potential(current.rho, grid, params.n,
-                                             tail_check=False))
+    final = current
+    if final.phi is None:
+        final = final.with_phi(solve_potential(final.rho, grid, params.n,
+                                               tail_check=False))
     if quantities[-1].time < final.time - 1e-15:
         q = compute_quantities(final, grid, params, cfg.quad_rule)
         quantities.append(q)
@@ -432,5 +461,5 @@ def _cfl_cap(state: RadialState, grid: RadialGrid, params: ModelParams,
     """Current CFL-limited step for the running state."""
     c = np.sqrt(params.gamma * np.maximum(state.p, 0.0)
                 / np.maximum(state.rho, cfg.density_floor))
-    speed = float(np.max(np.abs(state.u_r) + c))
+    speed = float((np.abs(state.u_r) + c).max())
     return cfg.cfl * grid.dr / max(speed, 1e-300)

@@ -151,3 +151,17 @@ def test_bundled_configs_parse(pytestconfig):
         setup = parse_config(root / "configs" / name)
         errs = validate_state(setup.build_state(), setup.grid, setup.params)
         assert errs == [], f"{name}: {errs}"
+
+
+def test_geometry_is_cached_read_only_and_invisible():
+    g = RadialGrid(8.0, 1024)
+    for n in (3, 4):
+        w = g.shell_weights(n)
+        closed = (g.edges[1:] ** n - g.edges[:-1] ** n) / n
+        assert w.tobytes() == closed.tobytes()
+        assert g.shell_weights(n) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+    other = RadialGrid(8.0, 1024)
+    assert g == other and hash(g) == hash(other)
+    assert repr(g) == repr(other) == "RadialGrid(r_max=8.0, cells=1024)"
