@@ -1,6 +1,8 @@
 import sys
+import tempfile
 
 import pytest
+from hypothesis import configuration
 
 import epblowup.diagnostics as diagnostics
 
@@ -12,6 +14,18 @@ def quantity_audit():
     diagnostics.QUANTITY_LOG_ENABLED = True
     yield
     diagnostics.QUANTITY_LOG_ENABLED = False
+
+
+def pytest_configure(config):
+    # hypothesis caches the literals of local modules on disk at collection,
+    # even without an example database; keep that cache out of the tree
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
 
 
 def pytest_collection_modifyitems(session, config, items):
