@@ -6,8 +6,7 @@ from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
                         InfeasibleExponentError)
 from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
                    RadialGrid, RadialState, RunSetup, TailViolationError,
-                   build_profile, parse_config, parse_config_text,
-                   validate_state)
+                   build_profile, parse_config, parse_config_text)
 from .criteria import (NoCrossingError, Verdict, WrongRegimeError, check_all,
                        check_ep_attractive, check_iep_attractive,
                        check_iep_repulsive, lifespan_bound)
@@ -21,8 +20,8 @@ from .oracles import (MarginReport, build_corpus, corpus_grid, run_suite,
                       verify_hls, verify_lemma_split)
 from .poisson import (GridMismatchError, enclosed_weight_force,
                       laplacian_residual, radial_force, solve_potential)
-from .quadrature import (NonFiniteSampleError, QuadratureSettings,
-                         integrate_radial, interaction_integral)
+from .quadrature import (NonFiniteSampleError, integrate_radial,
+                         interaction_integral)
 from .solver import RunResult, SolverConfig, run, step
 
 __version__ = "0.1.0"

@@ -10,12 +10,13 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .constants import build_table
-from .core import ConfigError, ProfileError, RunSetup, parse_config
+from .core import ConfigError, ProfileError, RadialGrid, RunSetup, parse_config
 from .criteria import WrongRegimeError, check_all
 from .diagnostics import write_series_csv
 from .oracles import run_suite, verify_energy_bounds
@@ -111,11 +112,8 @@ def _solver_config(setup: RunSetup, args) -> SolverConfig:
 def _cmd_simulate(args) -> int:
     setup = parse_config(args.config)
     if args.cells is not None:
-        from .core import RadialGrid
-        setup = RunSetup(params=setup.params,
-                         grid=RadialGrid(setup.grid.r_max, args.cells),
-                         spec=setup.spec, mode=setup.mode, chlp=setup.chlp,
-                         solver_options=setup.solver_options)
+        setup = dataclasses.replace(
+            setup, grid=RadialGrid(setup.grid.r_max, args.cells))
     cfg = _solver_config(setup, args)
     state = setup.build_state()
     result = run(state, setup.grid, setup.params, cfg)

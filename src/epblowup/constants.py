@@ -86,14 +86,11 @@ def unit_ball_measure(n: int) -> float:
 # Convolution inequality constant and its minimization
 # --------------------------------------------------------------------------
 
-def hls_constant(p: float, q: float, lam: float, n: int,
-                 sphere_measure: bool = False) -> float:
+def hls_constant(p: float, q: float, lam: float, n: int) -> float:
     """Sharp-form constant for the |x|**(-lam) convolution bound.
 
     Requires 1/p + 1/q + lam/n = 2 with p, q > 1 and 0 < lam < n.  The
-    measure factor uses the (n-1)-ball volume; pass sphere_measure=True to
-    use the area of the unit (n-1)-sphere instead (a more conservative,
-    strictly larger constant).
+    measure factor uses the (n-1)-ball volume.
     """
     if not (0.0 < lam < n):
         raise ValueError(f"need 0 < lam < n, got lam={lam}, n={n}")
@@ -104,7 +101,7 @@ def hls_constant(p: float, q: float, lam: float, n: int,
             f"exponents off the admissible surface: 1/p + 1/q + lam/n = "
             f"{1.0 / p + 1.0 / q + lam / n!r}, expected 2"
         )
-    measure = n * unit_ball_measure(n) if sphere_measure else unit_ball_measure(n - 1)
+    measure = unit_ball_measure(n - 1)
     a = lam / n
     bracket = (a / (1.0 - 1.0 / p)) ** a + (a / (1.0 - 1.0 / q)) ** a
     return (1.0 / (p * q)) * (n / (n - lam)) * (measure / n) ** a * bracket
@@ -134,7 +131,7 @@ def _conjugate_on_curve(p: float, n: int) -> float:
     return 1.0 / ((n + 2.0) / n - 1.0 / p)
 
 
-def minimize_hls(n: int, gamma: float, sphere_measure: bool = False,
+def minimize_hls(n: int, gamma: float,
                  tol: float = 1e-12) -> tuple[float, float, float]:
     """Minimize the convolution constant over the admissible exponent curve.
 
@@ -151,7 +148,7 @@ def minimize_hls(n: int, gamma: float, sphere_measure: bool = False,
     hi = p_hi - eps if p_hi >= n / 2.0 else p_hi
 
     def value(p: float) -> float:
-        return hls_constant(p, _conjugate_on_curve(p, n), lam, n, sphere_measure)
+        return hls_constant(p, _conjugate_on_curve(p, n), lam, n)
 
     ps = np.linspace(lo, hi, 2001)
     vals = np.array([value(p) for p in ps])
@@ -324,8 +321,6 @@ class ConstantsTable:
     c2_branch: Optional[str] = None
     f0: float = 0.0
     g0: float = 0.0
-    e_kin0: float = 0.0
-    e_int0: float = 0.0
     notes: tuple = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
@@ -360,7 +355,7 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     """Assemble the certificate constants from initial data.
 
     The state must carry its interaction potential (solve it first); the
-    moment integrals are evaluated with the default quadrature rule.
+    moment integrals are evaluated with the midpoint rule.
     """
     # local import: diagnostics sits above quadrature which needs this module
     from .diagnostics import compute_quantities
@@ -401,7 +396,7 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
             "trustworthy as this choice (calibration suggests ~3)"
         )
 
-    c0 = q.ie_total
+    c0 = q.e_total
     if c2 is not None:
         c3 = max(6.0 - n, n * (2.0 * gamma - 3.0) + 2.0) * c0 + max(
             4.0 - n, n * (gamma - 2.0) + 2.0
@@ -415,7 +410,7 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     c7 = max(4.0 - n, n * (gamma - 2.0) + 2.0) * (q.e_kin + q.e_int) + (n - 2.0) * q.e_total
     c8 = chemin_c8(n, gamma)
     c9, c10 = mass_bound_constants(n, gamma, q.mass, s1, params.c_nu)
-    c11 = q.half_inertia - q.momentum_weight + q.ie_total
+    c11 = q.half_inertia - q.momentum_weight + q.e_total
 
     return ConstantsTable(
         n=n, gamma=gamma, delta=params.delta, mode=state.mode,
@@ -425,6 +420,5 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
         theta=theta, p_star=p_star, q_star=q_star, c_hls_min=c_hls_min,
         c2_branch=c2_branch,
         f0=q.momentum_weight, g0=q.half_inertia,
-        e_kin0=q.e_kin, e_int0=q.e_int,
         notes=tuple(notes),
     )

@@ -32,7 +32,6 @@ __all__ = [
     "ProfileSpec",
     "RunSetup",
     "build_profile",
-    "validate_state",
     "parse_config",
     "parse_config_text",
     "DEFAULT_TAIL_TOL",
@@ -203,10 +202,6 @@ class RadialState:
             if len(getattr(self, name)) != m:
                 raise ValueError(f"field {name} length mismatch")
 
-    @property
-    def has_phi(self) -> bool:
-        return self.phi is not None
-
     def with_phi(self, phi: np.ndarray) -> "RadialState":
         return replace(self, phi=np.asarray(phi, dtype=float))
 
@@ -251,6 +246,8 @@ def _interp_table(r: np.ndarray, xs, ys, what: str) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
         raise ProfileError(f"tabulated {what}: need matching 1-D tables of length >= 2")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ProfileError(f"tabulated {what}: table has non-finite entries")
     if np.any(np.diff(xs) <= 0):
         raise ProfileError(f"tabulated {what}: radii must be strictly increasing")
     return np.interp(r, xs, ys)
@@ -281,7 +278,8 @@ def build_profile(
     In IEP mode the pressure is rho**gamma and the entropy law is ignored.
     In EP mode p = exp(s / c_nu) * rho**gamma with s from the spec.
     Raises TailViolationError when the density has not decayed to
-    tail_tol * max(rho) over the outermost cells.
+    tail_tol * max(rho) over the outermost cells, and ProfileError when
+    any sampled field is not finite.
     """
     r = grid.centers
     if spec.kind == "gaussian":
@@ -320,52 +318,11 @@ def build_profile(
     else:
         raise ValueError(f"mode must be 'EP' or 'IEP', got {mode!r}")
 
+    for what, values in (("density", rho), ("velocity", u_r),
+                         ("entropy", entropy), ("pressure", p)):
+        if values is not None and not np.isfinite(values).all():
+            raise ProfileError(f"non-finite {what} in the initial data")
     return RadialState(rho=rho, u_r=u_r, p=p, mode=mode, entropy=entropy)
-
-
-def validate_state(state: RadialState, grid: RadialGrid, params: ModelParams) -> list[str]:
-    """Collect structural violations; an empty list means the state is usable.
-
-    Checks sign constraints, finiteness of every field and of the moment
-    sums that the diagnostics consume, and the far-field decay requirement.
-    """
-    problems: list[str] = []
-    if len(state.rho) != grid.cells:
-        return [f"state has {len(state.rho)} cells but grid has {grid.cells}"]
-
-    for name in ("rho", "u_r", "p", "entropy", "phi"):
-        arr = getattr(state, name)
-        if arr is not None and not np.all(np.isfinite(arr)):
-            problems.append(f"{name} contains non-finite entries")
-    if problems:
-        return problems
-
-    if np.any(state.rho < 0.0):
-        k = int(np.argmax(state.rho < 0.0))
-        problems.append(f"negative density, first at cell {k} (r={grid.centers[k]:.4g})")
-    if np.any(state.p < 0.0):
-        k = int(np.argmax(state.p < 0.0))
-        problems.append(f"negative pressure, first at cell {k} (r={grid.centers[k]:.4g})")
-
-    try:
-        check_tail(state.rho, grid)
-    except TailViolationError as exc:
-        problems.append(str(exc))
-
-    # Moment sums must be finite numbers for the diagnostics to mean anything.
-    w = grid.shell_weights(params.n)
-    moments = {
-        "mass": state.rho @ w,
-        "second moment": (state.rho * grid.centers**2) @ w,
-        "kinetic moment": (state.rho * state.u_r**2) @ w,
-        "pressure integral": state.p @ w,
-    }
-    if state.phi is not None:
-        moments["potential moment"] = (state.rho * state.phi) @ w
-    for label, value in moments.items():
-        if not math.isfinite(value):
-            problems.append(f"{label} is not finite")
-    return problems
 
 
 # ---------------------------------------------------------------------------

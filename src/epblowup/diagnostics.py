@@ -3,17 +3,20 @@
 Quantities (all reduced to radial integrals):
 
     mass            M    = int rho
-    momentum        P    = int rho u              (zero vector by symmetry)
     momentum_weight F    = int rho u . x  = int rho u_r r
     half_inertia    G    = 1/2 int rho |x|^2
     e_kin                = 1/2 int rho u^2
-    e_int / pressure_int = int p / (gamma - 1)    (two names, one integral)
+    e_int                = int p / (gamma - 1)
     e_pot                = -(delta/2) int rho Phi
 
 The dynamics move these along rigid identities: M is constant, dG/dt = F,
-and dF/dt equals the virial functional of the matching closure.  The J
-functionals fold the conserved energy into a parabola in (t+1); their time
-series is what the blow-up certificates squeeze.
+and dF/dt equals the virial functional H.  The J functional folds the
+conserved energy into a parabola in (t+1); its time series is what the
+blow-up certificates squeeze.
+
+Under the polytropic closure e_int is the pressure integral I, so the
+isentropic functionals I, IE_delta, IH_delta and IJ_delta are the same
+integrals as E_i, E_delta, H_delta and J_delta and are computed once.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ __all__ = [
 QUANTITY_LOG: list["QuantitySet"] = []
 QUANTITY_LOG_ENABLED = False
 
-CSV_COLUMNS = (
-    "t", "M", "F", "G", "E_k", "E_i", "I", "E_p",
-    "E_delta", "IE_delta", "H", "IH", "J", "IJ",
-)
-CSV_VERSION_LINE = "# epblowup time-series v1"
+CSV_COLUMNS = ("t", "M", "F", "G", "E_k", "E_i", "E_p", "E_delta", "H", "J")
+CSV_VERSION_LINE = "# epblowup time-series v2"
 
 
 class MissingPotentialError(ValueError):
@@ -71,15 +71,12 @@ class QuantitySet:
 
     time: float
     mass: float
-    momentum: tuple
     momentum_weight: float
     half_inertia: float
     e_kin: float
     e_int: float
-    pressure_int: float
     e_pot: float
     e_total: float
-    ie_total: float
     int_rho_phi: float
 
 
@@ -89,19 +86,17 @@ class FunctionalSet:
 
     time: float
     h_delta: float
-    ih_delta: float
     j_delta: float
-    ij_delta: float
 
 
 def compute_quantities(state: RadialState, grid: RadialGrid,
-                       params: ModelParams, rule: str = "midpoint") -> QuantitySet:
+                       params: ModelParams) -> QuantitySet:
     """Evaluate all moment integrals of a snapshot (potential required).
 
-    Defaults to the midpoint rule: cell samples are treated as shell
-    averages, which matches the finite-volume data model (cell mass is
-    reproduced exactly) and keeps discontinuous profiles like uniform balls
-    at full accuracy.  Pass rule="simpson" for smooth pointwise profiles.
+    Uses the midpoint rule: cell samples are treated as shell averages,
+    which matches the finite-volume data model (cell mass is reproduced
+    exactly) and keeps discontinuous profiles like uniform balls at full
+    accuracy.
     """
     if state.phi is None:
         raise MissingPotentialError(
@@ -110,27 +105,24 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     n, gamma, delta = params.n, params.gamma, params.delta
     r = grid.centers
 
+    rule = "midpoint"
     mass = integrate_radial(state.rho, grid, n, rule)
     momentum_weight = integrate_radial(state.rho * state.u_r * r, grid, n, rule)
     half_inertia = 0.5 * integrate_radial(state.rho * r**2, grid, n, rule)
     e_kin = 0.5 * integrate_radial(state.rho * state.u_r**2, grid, n, rule)
-    pressure_int = integrate_radial(state.p, grid, n, rule) / (gamma - 1.0)
-    e_int = pressure_int
+    e_int = integrate_radial(state.p, grid, n, rule) / (gamma - 1.0)
     int_rho_phi = integrate_radial(state.rho * state.phi, grid, n, rule)
     e_pot = -0.5 * delta * int_rho_phi
 
     q = QuantitySet(
         time=state.time,
         mass=mass,
-        momentum=(0.0,) * n,
         momentum_weight=momentum_weight,
         half_inertia=half_inertia,
         e_kin=e_kin,
         e_int=e_int,
-        pressure_int=pressure_int,
         e_pot=e_pot,
         e_total=e_kin + e_int + e_pot,
-        ie_total=e_kin + pressure_int + e_pot,
         int_rho_phi=int_rho_phi,
     )
     if QUANTITY_LOG_ENABLED:
@@ -143,12 +135,9 @@ def compute_functionals(q: QuantitySet, params: ModelParams) -> FunctionalSet:
     n, gamma, delta = params.n, params.gamma, params.delta
     h = 2.0 * q.e_kin + n * (gamma - 1.0) * q.e_int \
         - 0.5 * delta * (n - 2.0) * q.int_rho_phi
-    ih = 2.0 * q.e_kin + n * (gamma - 1.0) * q.pressure_int \
-        - 0.5 * delta * (n - 2.0) * q.int_rho_phi
     tau = q.time + 1.0
     j = q.half_inertia - tau * q.momentum_weight + tau**2 * q.e_total
-    ij = q.half_inertia - tau * q.momentum_weight + tau**2 * q.ie_total
-    return FunctionalSet(time=q.time, h_delta=h, ih_delta=ih, j_delta=j, ij_delta=ij)
+    return FunctionalSet(time=q.time, h_delta=h, j_delta=j)
 
 
 def _uniform_dt(times: np.ndarray) -> float:
@@ -199,8 +188,7 @@ def series_csv(quantities: Sequence[QuantitySet],
     for q, f in zip(quantities, functionals):
         row = (
             q.time, q.mass, q.momentum_weight, q.half_inertia, q.e_kin,
-            q.e_int, q.pressure_int, q.e_pot, q.e_total, q.ie_total,
-            f.h_delta, f.ih_delta, f.j_delta, f.ij_delta,
+            q.e_int, q.e_pot, q.e_total, f.h_delta, f.j_delta,
         )
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()

@@ -227,18 +227,18 @@ def verify_energy_bounds(quantities: list[QuantitySet], table: ConstantsTable,
         if table.c2 is not None:
             reports.append(worst(
                 "energy-upper",
-                lambda q: q.e_kin + q.pressure_int,
+                lambda q: q.e_kin + q.e_int,
                 lambda q: 2.0 * table.c0 + table.c2,
             ))
         reports.append(worst(
             "energy-lower",
             lambda q: table.c0,
-            lambda q: q.e_kin + q.pressure_int,
+            lambda q: q.e_kin + q.e_int,
         ))
     else:
         reports.append(worst(
             "energy-upper",
-            lambda q: q.e_kin + q.pressure_int,
+            lambda q: q.e_kin + q.e_int,
             lambda q: table.c0,
         ))
     return reports

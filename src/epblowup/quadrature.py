@@ -15,37 +15,20 @@ angular variables and only the radial discretization error remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import unit_ball_measure
 from .core import RadialGrid
 
 __all__ = [
-    "QuadratureSettings",
     "NonFiniteSampleError",
     "integrate_radial",
     "interaction_integral",
-    "refinement_ratio",
 ]
 
 
 class NonFiniteSampleError(ValueError):
     """Profile handed to a quadrature rule contains NaN or Inf."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Rule selection plus the tolerances used in convergence reporting."""
-
-    rule: str = "simpson"
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rule not in ("simpson", "midpoint"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
 def _require_finite(f: np.ndarray):
@@ -121,10 +104,3 @@ def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
     q = rho * grid.shell_weights(n)
     kernel = np.maximum.outer(grid.centers, grid.centers) ** (2 - n)
     return surface**2 * float(q @ kernel @ q)
-
-
-def refinement_ratio(values: list[float], exact: float) -> float:
-    """Observed error-reduction factor per refinement step."""
-    errs = [abs(v - exact) for v in values]
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1) if errs[i + 1] > 0]
-    return min(ratios) if ratios else float("inf")

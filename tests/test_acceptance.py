@@ -105,11 +105,11 @@ def test_criterion_02_virial_rate_convergence(run_c1, run_c3_pair):
             result.quantities, fields=("half_inertia", "momentum_weight"))
         f_mid = np.array(
             [q.momentum_weight for q in result.quantities])[1:-1]
-        ih_mid = np.array([f.ih_delta for f in result.functionals])[1:-1]
+        h_mid = np.array([f.h_delta for f in result.functionals])[1:-1]
         res_g = np.max(np.abs(rates["half_inertia"] - f_mid)) \
             / np.max(np.abs(f_mid))
-        res_f = np.max(np.abs(rates["momentum_weight"] - ih_mid)) \
-            / np.max(np.abs(ih_mid))
+        res_f = np.max(np.abs(rates["momentum_weight"] - h_mid)) \
+            / np.max(np.abs(h_mid))
         return result, float(res_g), float(res_f)
 
     coarse, cg, cf = residuals(512, 0.004)
@@ -125,7 +125,7 @@ def test_criterion_02_virial_rate_convergence(run_c1, run_c3_pair):
 
 def test_criterion_03_energy_conservation(run_c3_pair):
     (r_iep, _), (r_ep, _) = run_c3_pair
-    ie = np.array([q.ie_total for q in r_iep.quantities])
+    ie = np.array([q.e_total for q in r_iep.quantities])
     drift_ie = float(np.max(np.abs(ie - ie[0])) / abs(ie[0]))
     eki = np.array([q.e_kin + q.e_int for q in r_ep.quantities])
     drift_ep = float(np.max(np.abs(eki - eki[0])) / abs(eki[0]))
@@ -155,8 +155,8 @@ def _internal_energy_floor(result, table, params) -> float:
     """
     exponent = params.n * (params.gamma - 1.0)
     coef = table.c9 if result.final_state.mode == "EP" else table.c10
-    scale = result.quantities[0].pressure_int
-    return min((q.pressure_int - coef / q.half_inertia ** (exponent / 2.0))
+    scale = result.quantities[0].e_int
+    return min((q.e_int - coef / q.half_inertia ** (exponent / 2.0))
                / scale for q in result.quantities)
 
 
@@ -168,8 +168,8 @@ def test_criterion_06_internal_energy_sandwich(run_c1, run_c3_pair,
 
     result, table, params = run_expanding
     exponent = params.n * (params.gamma - 1.0)
-    scale = result.quantities[0].pressure_int
-    upper = min((table.c11 / (q.time + 1.0) ** exponent - q.pressure_int)
+    scale = result.quantities[0].e_int
+    upper = min((table.c11 / (q.time + 1.0) ** exponent - q.e_int)
                 / scale for q in result.quantities)
     ok = worst_floor >= -1e-8 and upper >= -1e-8 \
         and result.stop_reason == "t_end"

@@ -120,6 +120,24 @@ def test_verify_bounds_suite(gauss_cfg, capsys):
     assert bounds["count"] >= 2
 
 
+NONFINITE_CFGS = {
+    "entropy": GAUSS_CFG.replace("mode = IEP", "mode = EP")
+    + "entropy.s0 = inf\n",
+    "velocity": GAUSS_CFG + "velocity.kind = linear\nvelocity.alpha = nan\n",
+    "density": GAUSS_CFG.replace("kind = gaussian", "kind = tabulated")
+    + "table.r = 0, 1, 2, 8\ntable.rho = nan, nan, 0, 0\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(NONFINITE_CFGS))
+def test_nonfinite_input_exits_two(field, tmp_path, capsys):
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(NONFINITE_CFGS[field])
+    assert dispatch(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and field in err
+
+
 def test_usage_errors_exit_two(gauss_cfg, tmp_path, capsys):
     assert dispatch(["constants", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"

@@ -27,7 +27,7 @@ def make_table(**over):
         mass=1.0, omega_n=4.0 * math.pi / 3.0, s1=0.0, c_hlp=3.0,
         c0=0.2, c1=1.0, c2=0.4, c3=-1.0, c4=0.4, c5=0.6,
         c6=1.0, c7=1.0, c8=1.0, c9=1.0, c10=2.0, c11=1.0,
-        theta=0.75, f0=-0.5, g0=1.0, e_kin0=0.3, e_int0=0.2,
+        theta=0.75, f0=-0.5, g0=1.0,
     )
     base.update(over)
     return ConstantsTable(**base)

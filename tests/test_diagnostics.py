@@ -41,20 +41,17 @@ def test_quantity_values_against_closed_forms():
     st, g = make_state()
     q = compute_quantities(st, g, P3)
     assert q.mass == pytest.approx(math.pi**1.5, rel=1e-4)
-    assert q.momentum == (0.0, 0.0, 0.0)
     assert q.momentum_weight == 0.0
     assert q.e_kin == 0.0
     # G = (1/2) int rho r^2 = (3/4) pi^1.5 for the unit gaussian
     assert q.half_inertia == pytest.approx(0.75 * math.pi**1.5, rel=1e-4)
     # I = int rho**gamma / (gamma - 1), gamma = 5/3: (3/2) (3/5)^1.5 pi^1.5
-    assert q.pressure_int == pytest.approx(
+    assert q.e_int == pytest.approx(
         1.5 * (3.0 / 5.0) ** 1.5 * math.pi**1.5, rel=1e-4)
-    assert q.e_int == q.pressure_int
     # attractive: e_pot = +(1/2) int rho phi < 0 here
     assert q.e_pot < 0.0
     assert q.e_pot == pytest.approx(0.5 * q.int_rho_phi, rel=1e-12)
     assert q.e_total == pytest.approx(q.e_kin + q.e_int + q.e_pot, rel=1e-12)
-    assert q.ie_total == q.e_total  # polytropic closure: E_i = I
 
 
 def test_cauchy_schwarz_margin_and_equality():
@@ -72,16 +69,12 @@ def test_functional_identities():
     st, g = make_state(velocity_alpha=0.5)
     q = compute_quantities(st, g, P3)
     f = compute_functionals(q, P3)
-    # isentropic closure: the two virial functionals coincide
-    assert f.ih_delta == pytest.approx(f.h_delta, rel=1e-14)
-    expect = 2.0 * q.e_kin + 3.0 * (P3.gamma - 1.0) * q.pressure_int \
+    expect = 2.0 * q.e_kin + 3.0 * (P3.gamma - 1.0) * q.e_int \
         - 0.5 * P3.delta * q.int_rho_phi
-    assert f.ih_delta == pytest.approx(expect, rel=1e-12)
+    assert f.h_delta == pytest.approx(expect, rel=1e-12)
     # parabola moments at t = 0 (tau = 1)
     assert f.j_delta == pytest.approx(
         q.half_inertia - q.momentum_weight + q.e_total, rel=1e-12)
-    assert f.ij_delta == pytest.approx(
-        q.half_inertia - q.momentum_weight + q.ie_total, rel=1e-12)
 
 
 def test_rates_recover_polynomial_series():
@@ -91,11 +84,9 @@ def test_rates_recover_polynomial_series():
     for k in range(11):
         t = 0.1 * k
         qs.append(diag.QuantitySet(
-            time=t, mass=1.0, momentum=(0.0,) * 3,
-            momentum_weight=2.0 + 6.0 * t,
+            time=t, mass=1.0, momentum_weight=2.0 + 6.0 * t,
             half_inertia=1.0 + 2.0 * t + 3.0 * t**2,
-            e_kin=0.0, e_int=0.0, pressure_int=0.0, e_pot=0.0,
-            e_total=0.0, ie_total=0.0, int_rho_phi=0.0))
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0))
     rates = finite_difference_rates(qs, fields=("half_inertia",))
     mid_f = np.array([q.momentum_weight for q in qs[1:-1]])
     assert np.allclose(rates["half_inertia"], mid_f, atol=1e-12)
@@ -106,9 +97,8 @@ def test_rates_reject_ragged_sampling():
     qs = []
     for t in (0.0, 0.1, 0.25):
         qs.append(diag.QuantitySet(
-            time=t, mass=1.0, momentum=(0.0,) * 3, momentum_weight=0.0,
-            half_inertia=0.0, e_kin=0.0, e_int=0.0, pressure_int=0.0,
-            e_pot=0.0, e_total=0.0, ie_total=0.0, int_rho_phi=0.0))
+            time=t, mass=1.0, momentum_weight=0.0, half_inertia=0.0,
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0))
     with pytest.raises(NonuniformSpacingError):
         finite_difference_rates(qs)
     with pytest.raises(NonuniformSpacingError):

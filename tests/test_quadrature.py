@@ -8,10 +8,8 @@ import pytest
 from epblowup.core import RadialGrid
 from epblowup.quadrature import (
     NonFiniteSampleError,
-    QuadratureSettings,
     integrate_radial,
     interaction_integral,
-    refinement_ratio,
 )
 
 # closed forms used below (n = 3 throughout):
@@ -21,12 +19,6 @@ from epblowup.quadrature import (
 GAUSS_MASS = math.pi ** 1.5
 BALL_SELF = 32.0 * math.pi**2 / 15.0
 GAUSS_SELF = math.sqrt(2.0) * math.pi ** 2.5
-
-
-def test_settings_validate_rule():
-    QuadratureSettings(rule="midpoint")
-    with pytest.raises(ValueError):
-        QuadratureSettings(rule="gauss")
 
 
 def test_gaussian_mass_both_rules():
@@ -90,16 +82,12 @@ def test_interaction_scaling_law():
     assert v2 / v1 == pytest.approx(2.0**5, rel=1e-3)
 
 
-def test_refinement_ratio_helper():
-    assert refinement_ratio([1.0 + 0.4, 1.0 + 0.1, 1.0 + 0.025], 1.0) == \
-        pytest.approx(4.0)
-    assert refinement_ratio([2.0, 2.0], 2.0) == float("inf")
-
-
 def test_gaussian_mass_refinement_is_second_order():
-    vals = []
+    errs = []
     for cells in (128, 256, 512):
         g = RadialGrid(8.0, cells)
-        vals.append(integrate_radial(np.exp(-g.centers**2), g, 3, "midpoint"))
-    ratio = refinement_ratio(vals, GAUSS_MASS)
+        mass = integrate_radial(np.exp(-g.centers**2), g, 3, "midpoint")
+        errs.append(abs(mass - GAUSS_MASS))
+    # error reduction per halving of the cell width
+    ratio = min(errs[0] / errs[1], errs[1] / errs[2])
     assert 3.2 < ratio < 4.8
