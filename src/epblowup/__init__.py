@@ -1,8 +1,8 @@
 """Blow-up certificates and virial diagnostics for radial self-forced gas flows."""
 
 from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
-                        interaction_split_constant, lanczos_gamma,
-                        mass_bound_constants, minimize_hls, unit_ball_measure,
+                        interaction_split_constant, mass_bound_constants,
+                        minimize_hls, unit_ball_measure,
                         InfeasibleExponentError)
 from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
                    RadialGrid, RadialState, RunSetup, TailViolationError,

@@ -5,10 +5,6 @@ unit-ball measures, the convolution-inequality constant and its minimizer
 over the admissible exponent curve, the mass lower-bound constant, the
 interaction-splitting constants, and the full per-configuration table
 C0..C11 assembled from initial data.
-
-The gamma function is evaluated with a Lanczos approximation (g = 7, nine
-coefficients), accurate to better than 1e-12 in relative terms over the
-arguments used here; the test suite pins it against the standard library.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "InfeasibleExponentError",
-    "lanczos_gamma",
     "unit_ball_measure",
     "hls_constant",
     "hls_exponent_window",
@@ -41,45 +36,15 @@ class InfeasibleExponentError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Gamma function and ball measures
+# Ball measures
 # --------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma(x) for real x (poles excepted), Lanczos approximation."""
-    if x < 0.5:
-        # reflection keeps the series argument comfortably positive; the
-        # pole test must be on x itself, sin(pi x) only lands near zero
-        if x == math.floor(x):
-            raise ValueError(f"gamma pole at x = {x}")
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
 
 @functools.lru_cache(maxsize=None)
 def unit_ball_measure(n: int) -> float:
     """Volume of the unit ball in R^n: pi**(n/2) / Gamma(n/2 + 1)."""
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n}")
-    return math.pi ** (n / 2.0) / lanczos_gamma(n / 2.0 + 1.0)
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from epblowup.constants import (
     InfeasibleExponentError,
@@ -13,25 +12,12 @@ from epblowup.constants import (
     hls_constant,
     hls_exponent_window,
     interaction_split_constant,
-    lanczos_gamma,
     mass_bound_constants,
     minimize_hls,
     unit_ball_measure,
 )
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
 from epblowup.poisson import solve_potential
-
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 3.7, 10.25, 0.01])
-def test_lanczos_gamma_positive_axis(x):
-    assert lanczos_gamma(x) == pytest.approx(scipy.special.gamma(x), rel=1e-12)
-
-
-def test_lanczos_gamma_reflection():
-    for x in (-0.5, -1.5, -2.3):
-        assert lanczos_gamma(x) == pytest.approx(scipy.special.gamma(x), rel=1e-11)
-    with pytest.raises(ValueError):
-        lanczos_gamma(-2.0)
 
 
 def test_unit_ball_measures():
