@@ -96,8 +96,7 @@ def _conjugate_on_curve(p: float, n: int) -> float:
     return 1.0 / ((n + 2.0) / n - 1.0 / p)
 
 
-def minimize_hls(n: int, gamma: float,
-                 tol: float = 1e-12) -> tuple[float, float, float]:
+def minimize_hls(n: int, gamma: float, tol: float = 1e-12) -> tuple[float, float, float]:
     """Minimize the convolution constant over the admissible exponent curve.
 
     Returns (p, q, value).  The curve is symmetric under p <-> q, so the

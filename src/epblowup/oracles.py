@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import (chemin_c8, interaction_split_constant,
                         mass_bound_constants, minimize_hls, hls_constant,
-                        unit_ball_measure, ConstantsTable)
+                        ConstantsTable)
 from .core import ModelParams, RadialGrid
 from .diagnostics import QuantitySet
 from .quadrature import integrate_radial, interaction_integral

@@ -29,7 +29,7 @@ step, or when max |d(u_r)/dr| exceeds a thousand times its initial scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
