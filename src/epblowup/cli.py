@@ -102,10 +102,6 @@ def _solver_config(setup: RunSetup, args) -> SolverConfig:
     if "t_end" not in opts:
         raise ConfigError("no t_end: set solver.t_end in the config "
                           "or pass --t-end")
-    known = {"t_end", "cfl", "output_stride", "density_floor", "reconstruction"}
-    unknown = set(opts) - known
-    if unknown:
-        raise ConfigError(f"unsupported solver option(s): {sorted(unknown)}")
     return SolverConfig(**opts)
 
 

@@ -168,9 +168,6 @@ class RadialGrid:
         """Exact radial measure of each cell, (r_out**n - r_in**n) / n (read-only)."""
         return self.geometry(n).weights
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        return RadialGrid(self.r_max, self.cells * factor)
-
     def tail_slice(self) -> slice:
         k = max(1, int(math.ceil(TAIL_FRACTION * self.cells)))
         return slice(self.cells - k, self.cells)
@@ -279,7 +276,8 @@ def build_profile(
     In EP mode p = exp(s / c_nu) * rho**gamma with s from the spec.
     Raises TailViolationError when the density has not decayed to
     tail_tol * max(rho) over the outermost cells, and ProfileError when
-    any sampled field is not finite.
+    the sampled density is identically zero or any sampled field is not
+    finite.
     """
     r = grid.centers
     if spec.kind == "gaussian":
@@ -294,8 +292,9 @@ def build_profile(
         rho = _interp_table(r, spec.table_r, spec.table_rho, "density")
         if np.any(rho < 0.0):
             raise ProfileError("tabulated density has negative entries")
-        if not np.any(rho > 0.0):
-            raise ProfileError("tabulated density vanishes identically")
+    if not np.any(rho > 0.0):
+        raise ProfileError(f"{spec.kind} density vanishes identically on the "
+                           f"grid (no cell center carries mass)")
 
     check_tail(rho, grid, spec.tail_tol)
 

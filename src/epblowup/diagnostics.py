@@ -41,17 +41,7 @@ __all__ = [
     "series_csv",
     "write_series_csv",
     "CSV_COLUMNS",
-    "QUANTITY_LOG",
-    "QUANTITY_LOG_ENABLED",
 ]
-
-# Opt-in audit trail: when QUANTITY_LOG_ENABLED is flipped on (the test
-# suite does this), every QuantitySet that compute_quantities produces is
-# also appended here, so global invariants can be swept over everything
-# the session ever measured.  Off by default; long-running callers should
-# leave it off or clear the list themselves.
-QUANTITY_LOG: list["QuantitySet"] = []
-QUANTITY_LOG_ENABLED = False
 
 CSV_COLUMNS = ("t", "M", "F", "G", "E_k", "E_i", "E_p", "E_delta", "H", "J")
 CSV_VERSION_LINE = "# epblowup time-series v2"
@@ -114,7 +104,7 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     int_rho_phi = integrate_radial(state.rho * state.phi, grid, n, rule)
     e_pot = -0.5 * delta * int_rho_phi
 
-    q = QuantitySet(
+    return QuantitySet(
         time=state.time,
         mass=mass,
         momentum_weight=momentum_weight,
@@ -125,9 +115,6 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
         e_total=e_kin + e_int + e_pot,
         int_rho_phi=int_rho_phi,
     )
-    if QUANTITY_LOG_ENABLED:
-        QUANTITY_LOG.append(q)
-    return q
 
 
 def compute_functionals(q: QuantitySet, params: ModelParams) -> FunctionalSet:

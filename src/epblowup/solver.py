@@ -29,7 +29,7 @@ step, or when max |d(u_r)/dr| exceeds a thousand times its initial scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,8 +81,8 @@ class RunResult:
     """Diagnostics series plus how (and when) the run ended.
 
     stop_reason is one of 't_end', 'positivity', 'cfl', 'gradient-blowup'.
-    extras holds per-sample monitor channels (velocity-gradient norm,
-    entropy minimum) keyed by name.
+    max_grad_u is the largest wet-cell max |d(u_r)/dr| over the samples;
+    min_entropy is the smallest entropy over the samples (None in IEP mode).
     """
 
     quantities: list[QuantitySet]
@@ -90,7 +90,8 @@ class RunResult:
     stop_reason: str
     final_state: RadialState
     steps_taken: int
-    extras: dict = field(default_factory=dict)
+    max_grad_u: float
+    min_entropy: Optional[float]
 
     @property
     def times(self) -> np.ndarray:
@@ -105,7 +106,7 @@ class RunResult:
             "t_final": qs[-1].time,
             "samples": len(qs),
             "mass_drift_rel": max(abs(q.mass - m0) for q in qs) / abs(m0),
-            "max_grad_u": max(self.extras.get("max_grad_u", [0.0])),
+            "max_grad_u": self.max_grad_u,
         }
         # each mode has its own conserved energy; the other one is not a law
         if self.final_state.mode == "IEP":
@@ -118,8 +119,8 @@ class RunResult:
             out["ek_ei_drift_rel"] = max(
                 abs((q.e_kin + q.e_int) - (qs[0].e_kin + qs[0].e_int)) for q in qs
             ) / max(abs(qs[0].e_kin + qs[0].e_int), 1e-300)
-        if "min_entropy" in self.extras:
-            out["min_entropy"] = min(self.extras["min_entropy"])
+        if self.min_entropy is not None:
+            out["min_entropy"] = self.min_entropy
         # identity residuals need uniform sampling; report null otherwise
         try:
             rates = finite_difference_rates(qs, ("mass", "half_inertia",
@@ -324,8 +325,13 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
                  "positive": ok}
 
 
-def _grad_norms(state: RadialState, grid: RadialGrid,
-                rho_scale: float) -> tuple[float, float]:
+def _sound_speed(state: RadialState, params: ModelParams,
+                 cfg: SolverConfig) -> np.ndarray:
+    return np.sqrt(params.gamma * np.maximum(state.p, 0.0)
+                   / np.maximum(state.rho, cfg.density_floor))
+
+
+def _max_grad(state: RadialState, grid: RadialGrid, rho_scale: float) -> float:
     du = np.gradient(state.u_r, grid.dr)
     # the numerical skin where gas meets floored vacuum carries a velocity
     # jump that sharpens with resolution; it is not a steepening of the
@@ -334,10 +340,7 @@ def _grad_norms(state: RadialState, grid: RadialGrid,
     # spike raises the current peak by orders of magnitude and a cut tied
     # to it would silence the still-perfectly-wet envelope.
     wet = state.rho > 1e-6 * rho_scale
-    du = np.where(wet, du, 0.0)
-    max_grad = float(np.abs(du).max())
-    l2 = float(np.sqrt(np.sum(du**2) * grid.dr))
-    return max_grad, l2
+    return float(np.abs(np.where(wet, du, 0.0)).max())
 
 
 def run(state: RadialState, grid: RadialGrid, params: ModelParams,
@@ -365,8 +368,7 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     # velocity-gradient scale for the steepening detector; fall back on an
     # acoustic scale when the initial flow is at rest
     du0 = np.gradient(state.u_r, grid.dr)
-    c0 = np.sqrt(params.gamma * np.maximum(state.p, 0.0)
-                 / np.maximum(state.rho, cfg.density_floor))
+    c0 = _sound_speed(state, params, cfg)
     grad_scale = max(float(np.max(np.abs(du0))), float(np.max(c0)) / grid.r_max)
     grad_cap = 1e3 * grad_scale
 
@@ -379,12 +381,17 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         dt_raw = 0.9 * cfg.cfl * grid.dr / max(speed0, 1e-300)
         dt_base = cfg.t_end / max(1, math.ceil(cfg.t_end / dt_raw))
 
-    quantities = [compute_quantities(state, grid, params)]
-    functionals = [compute_functionals(quantities[0], params)]
-    max_grad0, l20 = _grad_norms(state, grid, peak0)
-    extras = {"max_grad_u": [max_grad0], "grad_u_l2": [l20]}
-    if state.mode == "EP":
-        extras["min_entropy"] = [float(np.min(state.entropy))]
+    quantities, functionals, grads, entropies = [], [], [], []
+
+    def sample(s: RadialState, max_grad: float) -> None:
+        q = compute_quantities(s, grid, params)
+        quantities.append(q)
+        functionals.append(compute_functionals(q, params))
+        grads.append(max_grad)
+        if s.mode == "EP":
+            entropies.append(float(np.min(s.entropy)))
+
+    sample(state, _max_grad(state, grid, peak0))
 
     stop_reason = "t_end"
     steps = 0
@@ -405,20 +412,14 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
             break
         current = nxt
 
-        max_grad, l2 = _grad_norms(current, grid, peak0)
+        max_grad = _max_grad(current, grid, peak0)
         sample_due = (steps % cfg.output_stride == 0) or (
             current.time >= cfg.t_end - 1e-12 * cfg.t_end)
         if sample_due:
             # the next step reuses this potential at its first stage
             current = current.with_phi(solve_potential(
                 current.rho, grid, params.n, tail_check=False))
-            q = compute_quantities(current, grid, params)
-            quantities.append(q)
-            functionals.append(compute_functionals(q, params))
-            extras["max_grad_u"].append(max_grad)
-            extras["grad_u_l2"].append(l2)
-            if current.mode == "EP":
-                extras["min_entropy"].append(float(np.min(current.entropy)))
+            sample(current, max_grad)
         if max_grad > grad_cap:
             stop_reason = "gradient-blowup"
             break
@@ -428,28 +429,20 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         final = final.with_phi(solve_potential(final.rho, grid, params.n,
                                                tail_check=False))
     if quantities[-1].time < final.time - 1e-15:
-        q = compute_quantities(final, grid, params)
-        quantities.append(q)
-        functionals.append(compute_functionals(q, params))
-        max_grad, l2 = _grad_norms(final, grid, peak0)
-        extras["max_grad_u"].append(max_grad)
-        extras["grad_u_l2"].append(l2)
-        if final.mode == "EP":
-            extras["min_entropy"].append(float(np.min(final.entropy)))
+        sample(final, _max_grad(final, grid, peak0))
     return RunResult(
         quantities=quantities,
         functionals=functionals,
         stop_reason=stop_reason,
         final_state=final,
         steps_taken=steps,
-        extras=extras,
+        max_grad_u=max(grads),
+        min_entropy=min(entropies) if entropies else None,
     )
 
 
 def _cfl_cap(state: RadialState, grid: RadialGrid, params: ModelParams,
              cfg: SolverConfig) -> float:
     """Current CFL-limited step for the running state."""
-    c = np.sqrt(params.gamma * np.maximum(state.p, 0.0)
-                / np.maximum(state.rho, cfg.density_floor))
-    speed = float((np.abs(state.u_r) + c).max())
+    speed = float((np.abs(state.u_r) + _sound_speed(state, params, cfg)).max())
     return cfg.cfl * grid.dr / max(speed, 1e-300)

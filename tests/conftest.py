@@ -1,19 +1,7 @@
 import sys
 import tempfile
 
-import pytest
 from hypothesis import configuration
-
-import epblowup.diagnostics as diagnostics
-
-
-@pytest.fixture(scope="session", autouse=True)
-def quantity_audit():
-    # every QuantitySet computed anywhere in the session lands in the log;
-    # the acceptance module sweeps it at the end
-    diagnostics.QUANTITY_LOG_ENABLED = True
-    yield
-    diagnostics.QUANTITY_LOG_ENABLED = False
 
 
 def pytest_configure(config):
@@ -26,12 +14,6 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     configuration.set_hypothesis_home_dir(None)
     config.hypothesis_home.cleanup()
-
-
-def pytest_collection_modifyitems(session, config, items):
-    # acceptance runs last: its global-invariant sweep must see the
-    # quantities produced by the rest of the suite
-    items.sort(key=lambda item: item.fspath.basename == "test_acceptance.py")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,10 +3,8 @@
 Every criterion records a line in ACCEPTANCE_LINES (printed by the conftest
 terminal summary) before asserting, so a red run still shows the measured
 numbers.  Tolerances are pinned here, not imported, so a library change
-that moves a margin is caught rather than absorbed.
-
-Criterion 4 is defined last on purpose: it audits every quantity set
-computed by the whole session (the conftest orders this module last).
+that moves a margin is caught rather than absorbed.  Solver runs are
+module-scoped fixtures, so each criterion passes on its own as well.
 """
 
 import math
@@ -15,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from epblowup import diagnostics
 from epblowup.constants import build_table
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile, parse_config
 from epblowup.criteria import check_all, check_ep_attractive, lifespan_bound
@@ -30,10 +27,6 @@ GAUSS = ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0)
 CHLP = 3.0
 
 ACCEPTANCE_LINES: list[str] = []
-
-# every solver run this module produces, for the sweep criteria:
-# (label, result, table, params)
-RUNS: list[tuple] = []
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -56,7 +49,6 @@ def run_c1():
     t0 = time.perf_counter()
     result = run(state, grid, P53, SolverConfig(t_end=0.2))
     elapsed = time.perf_counter() - t0
-    RUNS.append(("gaussian-iep-512", result, table, P53))
     return result, table, elapsed
 
 
@@ -64,12 +56,10 @@ def run_c1():
 def run_c3_pair():
     state, grid, table_iep = prepared(GAUSS, 1024)
     r_iep = run(state, grid, P53, SolverConfig(t_end=0.2))
-    RUNS.append(("gaussian-iep-1024", r_iep, table_iep, P53))
 
     ep_spec = ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0, s0=0.3)
     state, grid, table_ep = prepared(ep_spec, 1024, mode="EP")
     r_ep = run(state, grid, P53, SolverConfig(t_end=0.2))
-    RUNS.append(("gaussian-ep-1024", r_ep, table_ep, P53))
     return (r_iep, table_iep), (r_ep, table_ep)
 
 
@@ -83,8 +73,32 @@ def run_expanding(pytestconfig):
     table = build_table(with_phi, setup.grid, setup.params, c_hlp=CHLP)
     result = run(state, setup.grid, setup.params,
                  SolverConfig(**dict(setup.solver_options)))
-    RUNS.append(("expanding-cloud", result, table, setup.params))
     return result, table, setup.params
+
+
+@pytest.fixture(scope="module")
+def run_fixed_dt_pair():
+    def fixed(cells, fdt):
+        grid = RadialGrid(8.0, cells)
+        state = build_profile(GAUSS, grid, P53, mode="IEP")
+        return run(state, grid, P53, SolverConfig(t_end=0.2, fixed_dt=fdt))
+
+    return fixed(512, 0.004), fixed(1024, 0.002)
+
+
+@pytest.fixture(scope="module")
+def all_runs(run_c1, run_c3_pair, run_expanding, run_fixed_dt_pair):
+    """Every solver run of this module as (label, result, table, params)."""
+    (r_iep, table_iep), (r_ep, table_ep) = run_c3_pair
+    coarse, fine = run_fixed_dt_pair
+    return [
+        ("gaussian-iep-512", run_c1[0], run_c1[1], P53),
+        ("gaussian-iep-1024", r_iep, table_iep, P53),
+        ("gaussian-ep-1024", r_ep, table_ep, P53),
+        ("gaussian-iep-512-fixed-dt", coarse, run_c1[1], P53),
+        ("gaussian-iep-1024-fixed-dt", fine, table_iep, P53),
+        ("expanding-cloud", *run_expanding),
+    ]
 
 
 def test_criterion_01_mass_conservation(run_c1):
@@ -96,11 +110,8 @@ def test_criterion_01_mass_conservation(run_c1):
                   f"{elapsed:.2f}s <= 10s")
 
 
-def test_criterion_02_virial_rate_convergence(run_c1, run_c3_pair):
-    def residuals(cells, fdt):
-        grid = RadialGrid(8.0, cells)
-        state = build_profile(GAUSS, grid, P53, mode="IEP")
-        result = run(state, grid, P53, SolverConfig(t_end=0.2, fixed_dt=fdt))
+def test_criterion_02_virial_rate_convergence(run_fixed_dt_pair):
+    def residuals(result):
         rates = finite_difference_rates(
             result.quantities, fields=("half_inertia", "momentum_weight"))
         f_mid = np.array(
@@ -110,12 +121,11 @@ def test_criterion_02_virial_rate_convergence(run_c1, run_c3_pair):
             / np.max(np.abs(f_mid))
         res_f = np.max(np.abs(rates["momentum_weight"] - h_mid)) \
             / np.max(np.abs(h_mid))
-        return result, float(res_g), float(res_f)
+        return float(res_g), float(res_f)
 
-    coarse, cg, cf = residuals(512, 0.004)
-    fine, fg, ff = residuals(1024, 0.002)
-    RUNS.append(("gaussian-iep-512-fixed-dt", coarse, run_c1[1], P53))
-    RUNS.append(("gaussian-iep-1024-fixed-dt", fine, run_c3_pair[0][1], P53))
+    coarse, fine = run_fixed_dt_pair
+    cg, cf = residuals(coarse)
+    fg, ff = residuals(fine)
     ratio_g, ratio_f = cg / fg, cf / ff
     ok = ratio_g >= 3.0 and ratio_f >= 3.0 and fg <= 1e-2 and ff <= 1e-2
     record(2, ok, f"residual reduction x{ratio_g:.2f} (dG/dt=F) and "
@@ -132,6 +142,32 @@ def test_criterion_03_energy_conservation(run_c3_pair):
     ok = drift_ie <= 1e-4 and drift_ep <= 1e-4
     record(3, ok, f"isentropic IE drift {drift_ie:.3e}, full-system "
                   f"Ek+Ei drift {drift_ep:.3e}, both <= 1e-4 at 1024 cells")
+
+
+def test_criterion_04_momentum_weight_inequality(all_runs):
+    # equality case first: u_r = r turns the bound into an identity
+    grid = RadialGrid(8.0, 512)
+    spec = ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0,
+                       velocity_kind="linear", velocity_alpha=1.0)
+    state = build_profile(spec, grid, P53, mode="IEP")
+    state = state.with_phi(solve_potential(state.rho, grid, 3))
+    q = compute_quantities(state, grid, P53)
+    prod = 4.0 * q.half_inertia * q.e_kin
+    eq_rel = abs(q.momentum_weight**2 - prod) / prod
+
+    sets = [q] + [qs for _, result, _, _ in all_runs
+                  for qs in result.quantities]
+    worst = 0.0
+    for qs in sets:
+        scale = 4.0 * qs.half_inertia * qs.e_kin
+        gap = qs.momentum_weight**2 - scale
+        if gap > worst * max(scale, 1e-300):
+            worst = gap / max(scale, 1e-300)
+    ok = len(sets) > 100 and worst <= 1e-8 and eq_rel <= 1e-10
+    record(4, ok, f"F^2 <= 4 G E_k on all {len(sets)} quantity sets of "
+                  f"{len(all_runs)} runs and the equality case (worst rel "
+                  f"excess {worst:.2e} <= 1e-8); equality case off by "
+                  f"{eq_rel:.2e} <= 1e-10")
 
 
 def test_criterion_05_inertia_parabola_sandwich(run_c1):
@@ -160,10 +196,9 @@ def _internal_energy_floor(result, table, params) -> float:
                / scale for q in result.quantities)
 
 
-def test_criterion_06_internal_energy_sandwich(run_c1, run_c3_pair,
-                                               run_expanding):
+def test_criterion_06_internal_energy_sandwich(all_runs, run_expanding):
     floors = {label: _internal_energy_floor(result, table, params)
-              for label, result, table, params in RUNS}
+              for label, result, table, params in all_runs}
     worst_label, worst_floor = min(floors.items(), key=lambda kv: kv[1])
 
     result, table, params = run_expanding
@@ -286,27 +321,3 @@ def test_criterion_10_cross_module_consistency():
     record(10, ok, f"interaction vs potential agree to {worst:.2e} <= 1e-4 "
                    f"(worst: {worst_name}); field-equation residual ratios "
                    f"{'/'.join(f'{r:.2f}' for r in ratios)} ~ second order")
-
-
-def test_criterion_04_momentum_weight_inequality(run_c1):
-    # equality case first: u_r = r turns the bound into an identity
-    grid = RadialGrid(8.0, 512)
-    spec = ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0,
-                       velocity_kind="linear", velocity_alpha=1.0)
-    state = build_profile(spec, grid, P53, mode="IEP")
-    state = state.with_phi(solve_potential(state.rho, grid, 3))
-    q = compute_quantities(state, grid, P53)
-    prod = 4.0 * q.half_inertia * q.e_kin
-    eq_rel = abs(q.momentum_weight**2 - prod) / prod
-
-    log = diagnostics.QUANTITY_LOG
-    worst = 0.0
-    for qs in log:
-        scale = 4.0 * qs.half_inertia * qs.e_kin
-        gap = qs.momentum_weight**2 - scale
-        if gap > worst * max(scale, 1e-300):
-            worst = gap / max(scale, 1e-300)
-    ok = len(log) > 100 and worst <= 1e-8 and eq_rel <= 1e-10
-    record(4, ok, f"F^2 <= 4 G E_k on all {len(log)} quantity sets this "
-                  f"session (worst rel excess {worst:.2e} <= 1e-8); "
-                  f"equality case off by {eq_rel:.2e} <= 1e-10")

@@ -138,6 +138,25 @@ def test_nonfinite_input_exits_two(field, tmp_path, capsys):
     assert "non-finite" in err and field in err
 
 
+ZERO_MASS_CFGS = {
+    # every cell center lies outside the ball
+    "ball": GAUSS_CFG.replace("kind = gaussian", "kind = ball")
+    .replace("width = 1.0", "radius = 0.001"),
+    # the gaussian underflows to zero at every cell center
+    "gaussian": GAUSS_CFG.replace("width = 1.0", "width = 1e-4"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_MASS_CFGS))
+def test_zero_mass_input_exits_two(kind, tmp_path, capsys):
+    path = tmp_path / "empty.cfg"
+    path.write_text(ZERO_MASS_CFGS[kind])
+    assert dispatch(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{kind} density vanishes identically" in captured.err
+
+
 def test_usage_errors_exit_two(gauss_cfg, tmp_path, capsys):
     assert dispatch(["constants", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"

@@ -121,17 +121,3 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert path.read_text() == text
     with pytest.raises(ValueError):
         series_csv([q], [])
-
-
-def test_quantity_log_mechanics():
-    st, g = make_state(cells=64)
-    before = len(diag.QUANTITY_LOG)
-    compute_quantities(st, g, P3)
-    assert len(diag.QUANTITY_LOG) == before + 1  # session fixture enabled it
-    old = diag.QUANTITY_LOG_ENABLED
-    try:
-        diag.QUANTITY_LOG_ENABLED = False
-        compute_quantities(st, g, P3)
-        assert len(diag.QUANTITY_LOG) == before + 1
-    finally:
-        diag.QUANTITY_LOG_ENABLED = old

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epblowup import diagnostics
 from epblowup.constants import ConstantsTable
 from epblowup.core import ModelParams, RadialGrid, RadialState
 from epblowup.criteria import NoCrossingError, lifespan_bound
@@ -49,13 +48,7 @@ def test_momentum_weight_bound(rho_nodes, u_nodes, n):
     state = RadialState(rho=rho, u_r=sample(u_nodes, grid),
                         p=rho**params.gamma, mode="IEP")
     state = state.with_phi(solve_potential(rho, grid, n, tail_check=False))
-    # keep these sets out of the session-wide audit of the acceptance module
-    logged = diagnostics.QUANTITY_LOG_ENABLED
-    diagnostics.QUANTITY_LOG_ENABLED = False
-    try:
-        q = compute_quantities(state, grid, params)
-    finally:
-        diagnostics.QUANTITY_LOG_ENABLED = logged
+    q = compute_quantities(state, grid, params)
     assert q.momentum_weight**2 <= 4.0 * q.half_inertia * q.e_kin * (1.0 + 1e-12)
 
 
