@@ -96,12 +96,15 @@ def _conjugate_on_curve(p: float, n: int) -> float:
     return 1.0 / ((n + 2.0) / n - 1.0 / p)
 
 
-def minimize_hls(n: int, gamma: float, tol: float = 1e-12) -> tuple[float, float, float]:
+@functools.lru_cache(maxsize=None)
+def minimize_hls(n: int, gamma: float) -> tuple[float, float, float]:
     """Minimize the convolution constant over the admissible exponent curve.
 
     Returns (p, q, value).  The curve is symmetric under p <-> q, so the
     scan covers the full window and a golden-section pass refines the best
-    bracket.  Raises InfeasibleExponentError when gamma <= 2n/(n+2).
+    bracket.  Raises InfeasibleExponentError when gamma <= 2n/(n+2).  The
+    result depends on (n, gamma) only and is memoized on them; errors are
+    not cached, so an infeasible pair raises on every call.
     """
     lam = float(n - 2)
     p_lo, p_hi = hls_exponent_window(n, gamma)
@@ -123,7 +126,7 @@ def minimize_hls(n: int, gamma: float, tol: float = 1e-12) -> tuple[float, float
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = value(c), value(d)
-    while b - a > tol * max(1.0, abs(a)):
+    while b - a > 1e-12 * max(1.0, abs(a)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

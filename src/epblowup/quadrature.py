@@ -10,7 +10,9 @@ with omega_n the unit-ball volume.  The pairwise interaction integral
 
 reduces the same way: averaging the kernel over a sphere of radius s leaves
 max(r, s)**(2-n), so a double radial sum with that kernel is exact in the
-angular variables and only the radial discretization error remains.
+angular variables and only the radial discretization error remains.  Because
+the cell centers are sorted, max(r_i, r_j) = r_i for every j < i, and the
+double sum folds into one prefix sum over the cells (see interaction_integral).
 """
 
 from __future__ import annotations
@@ -92,9 +94,16 @@ def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
         (n omega_n)**2 * int int rho(r) rho(s) max(r, s)**(2-n)
                                  r**(n-1) s**(n-1) dr ds
 
-    as a full double sum over cells with exact shell weights.  The kernel is
-    bounded on the diagonal and the r**(n-1) weights vanish at the origin,
-    so no special-case quadrature is needed anywhere.  Always >= 0.
+    on the cells, with q_i = rho_i times the exact shell weight of cell i.
+    The centers increase with i, so the kernel of the pair (i, j) with
+    j < i is r_i**(2-n), and the double sum over all pairs rearranges
+    exactly into
+
+        sum_i q_i**2 r_i**(2-n) + 2 sum_i q_i r_i**(2-n) sum_{j<i} q_j,
+
+    which costs O(N) time and memory.  The kernel is bounded on the
+    diagonal and the r**(n-1) weights vanish at the origin, so no
+    special-case quadrature is needed anywhere.  Always >= 0.
     """
     rho = np.asarray(rho, dtype=float)
     if len(rho) != grid.cells:
@@ -102,5 +111,5 @@ def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
     _require_finite(rho)
     surface = n * unit_ball_measure(n)
     q = rho * grid.shell_weights(n)
-    kernel = np.maximum.outer(grid.centers, grid.centers) ** (2 - n)
-    return surface**2 * float(q @ kernel @ q)
+    below = np.concatenate(([0.0], np.cumsum(q[:-1])))  # sum_{j<i} q_j
+    return surface**2 * float((q * grid.centers ** (2 - n)) @ (q + 2.0 * below))

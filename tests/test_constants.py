@@ -51,6 +51,22 @@ def test_hls_window_and_minimizer():
     assert c_min == pytest.approx(2.665497628718767, rel=1e-9)
 
 
+def test_minimize_hls_is_memoized():
+    first = minimize_hls(3, 5.0 / 3.0)
+    hits = minimize_hls.cache_info().hits
+    assert minimize_hls(3, 5.0 / 3.0) == first
+    assert minimize_hls.cache_info().hits > hits
+
+
+def test_minimize_hls_infeasible_raises_every_call():
+    # 2n/(n+2) = 6/5 in three dimensions; exceptions are never cached
+    for _ in range(2):
+        with pytest.raises(InfeasibleExponentError):
+            minimize_hls(3, 1.2)
+        with pytest.raises(InfeasibleExponentError):
+            minimize_hls(3, 1.1)
+
+
 def test_chemin_constant_closed_form():
     assert chemin_c8(3, 5.0 / 3.0) == pytest.approx(
         2.0 * (4.0 * math.pi / 3.0) ** 0.25, rel=1e-14)

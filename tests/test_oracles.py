@@ -35,6 +35,38 @@ def test_radial_fourier_gaussian_closed_form():
     assert np.max(np.abs(fk - exact)) < 1e-8
 
 
+def test_radial_fourier_stack_matches_rows():
+    g = RadialGrid(8.0, 512)
+    stack = np.array([np.exp(-g.centers**2),
+                      (g.centers < 1.0).astype(float),
+                      np.exp(-((g.centers - 2.0) / 0.4) ** 2)])
+    k = np.linspace(0.0, 3.0, 97)  # includes k = 0
+    out = radial_fourier(stack, g, k)
+    assert out.shape == (3, 97)
+    for row, f in zip(out, stack):
+        single = radial_fourier(f, g, k)
+        assert single.shape == (97,)
+        # relative to the row's scale: the transforms decay to roundoff and
+        # the ball's has zeros, so entrywise relative error means nothing there
+        assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
+        # the k = 0 entry is each row's own mass
+        assert row[0] == pytest.approx(
+            4.0 * math.pi * float(np.sum(g.centers**2 * f)) * g.dr, rel=1e-13)
+
+
+def test_hlp_suite_matches_single_density_checks():
+    out = run_suite("hlp", P3, c_hlp=CHLP, randomized=5)
+    grid = corpus_grid()
+    expect = [verify_hlp(rho, grid, p, CHLP, label=f"{name}-p{p:.4g}")
+              for name, rho in build_corpus(randomized=5)
+              for p in (1.5, 5.0 / 3.0, 2.0)]
+    assert out["count"] == len(expect)
+    for got, rep in zip(out["reports"], expect):
+        assert got["name"] == rep.name
+        assert got["details"]["p"] == rep.details["p"]
+        assert got["details"]["ratio"] == pytest.approx(rep.details["ratio"], rel=1e-12)
+
+
 def test_plancherel_pins_the_convention():
     g = corpus_grid()
     rho = np.exp(-g.centers**2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from epblowup.constants import unit_ball_measure
 from epblowup.core import RadialGrid
 from epblowup.quadrature import (
     NonFiniteSampleError,
@@ -69,6 +70,27 @@ def test_interaction_gaussian_closed_form():
     rho = np.exp(-g.centers**2)
     val = interaction_integral(rho, g, 3)
     assert val == pytest.approx(GAUSS_SELF, rel=1e-4)
+
+
+def _interaction_full_double_sum(rho, grid, n):
+    # the explicit N x N pair sum that interaction_integral rearranges
+    q = rho * grid.shell_weights(n)
+    kernel = np.maximum.outer(grid.centers, grid.centers) ** (2 - n)
+    return (n * unit_ball_measure(n)) ** 2 * float(q @ kernel @ q)
+
+
+@pytest.mark.parametrize("cells", [64, 257])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("shape", ["ball", "gaussian", "random"])
+def test_interaction_matches_full_double_sum(shape, n, cells):
+    g = RadialGrid(4.0, cells)
+    rho = {
+        "ball": (g.centers < 1.0).astype(float),
+        "gaussian": np.exp(-g.centers**2),
+        "random": np.random.default_rng(cells + 10 * n).uniform(0.0, 2.0, cells),
+    }[shape]
+    expect = _interaction_full_double_sum(rho, g, n)
+    assert interaction_integral(rho, g, n) == pytest.approx(expect, rel=1e-12)
 
 
 def test_interaction_scaling_law():
