@@ -19,7 +19,7 @@ from .oracles import (MarginReport, build_corpus, corpus_grid, run_suite,
                       verify_chemin, verify_energy_bounds, verify_hlp,
                       verify_hls, verify_lemma_split)
 from .poisson import (GridMismatchError, enclosed_weight_force,
-                      laplacian_residual, radial_force, solve_potential)
+                      laplacian_residual, solve_potential)
 from .quadrature import (NonFiniteSampleError, integrate_radial,
                          interaction_integral)
 from .solver import RunResult, SolverConfig, run, step

@@ -16,12 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import unit_ball_measure
-from .core import RadialGrid, check_tail, DEFAULT_TAIL_TOL
+from .core import RadialGrid, ShellGeometry, check_tail, DEFAULT_TAIL_TOL
 
 __all__ = [
     "GridMismatchError",
     "solve_potential",
-    "radial_force",
     "enclosed_weight_force",
     "laplacian_residual",
 ]
@@ -42,6 +41,13 @@ def _check(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return rho
 
 
+def _inner_moment(rho: np.ndarray, geo: ShellGeometry, n: int) -> np.ndarray:
+    """int_0^r s**(n-1) rho ds, cut at each cell center."""
+    whole_in = rho * geo.weights
+    inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
+    return inner + rho * geo.inner_cut / n
+
+
 def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
                     tail_tol: float = DEFAULT_TAIL_TOL,
                     tail_check: bool = True) -> np.ndarray:
@@ -56,13 +62,9 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
     if tail_check:
         check_tail(rho, grid, tail_tol)
     geo = grid.geometry(n)
+    inner = _inner_moment(rho, geo, n)
 
-    # inner moment: int_0^r s**(n-1) rho ds, cut at each cell center
-    whole_in = rho * geo.weights
-    inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
-    inner = inner + rho * geo.inner_cut / n
-
-    # outer moment: int_r^rmax s rho ds, cut the same way
+    # outer moment: int_r^rmax s rho ds, also cut at each cell center
     whole_out = rho * geo.shell_sq / 2.0
     outer = np.concatenate((np.cumsum(whole_out[::-1])[::-1][1:], [0.0]))
     outer = outer + rho * geo.outer_cut / 2.0
@@ -71,35 +73,20 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
     return -surface * (geo.far_power * inner + outer)
 
 
-def radial_force(phi: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """d(Phi)/dr at cell centers: central differences, one-sided at the ends."""
-    phi = np.asarray(phi, dtype=float)
-    if len(phi) != grid.cells:
-        raise GridMismatchError(
-            f"potential has {len(phi)} samples but grid has {grid.cells} cells"
-        )
-    grad = np.empty_like(phi)
-    grad[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * grid.dr)
-    grad[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * grid.dr)
-    grad[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * grid.dr)
-    return grad
-
-
 def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """Force from the enclosed-moment identity, bypassing the potential.
+    """d(Phi)/dr at cell centers from the enclosed moment, without Phi.
 
     Differentiating the cumulative form of the potential cancels the outer
     moment exactly and leaves
 
         d(Phi)/dr = n (n-2) omega_n * r**(1-n) * int_0^r s**(n-1) rho ds.
 
-    Serves as an independent cross-check of radial_force in the tests.
+    This is the solver's interaction force: one cumulative sum, second
+    order at a density jump, and exact to roundoff on a uniform ball whose
+    edge is a cell edge.
     """
     rho = _check(rho, grid)
-    geo = grid.geometry(n)
-    whole_in = rho * geo.weights
-    inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
-    inner = inner + rho * geo.inner_cut / n
+    inner = _inner_moment(rho, grid.geometry(n), n)
     return n * (n - 2.0) * unit_ball_measure(n) * inner / grid.centers ** (n - 1.0)
 
 

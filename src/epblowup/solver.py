@@ -3,19 +3,18 @@
 Desk-scale scheme meant to exercise the diagnostics, not a production
 hydro code.  Conservative update on the radial metric with exact shell
 volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes,
-optional minmod MUSCL reconstruction, two-stage Heun time stepping, and the
-potential of each stage's density.  Stage 2 always solves for it; stage 1
-reuses the potential that run() solved to sample the previous step, which
-is the same array a fresh solve would return, and solves only after steps
-that were not sampled.
+optional minmod MUSCL reconstruction and two-stage Heun time stepping.
+Each stage takes the interaction force dPhi/dr of its own density from the
+enclosed moment (poisson.enclosed_weight_force), so stepping never solves
+for Phi; run() solves it only for the states it samples, whose potential
+energy needs it.
 
 Closures:
   IEP  -- conserved (rho, rho u),       pressure rho**gamma;
   EP   -- conserved (rho, rho u, E),    E = rho u^2 / 2 + p / (gamma - 1),
           energy flux (E + p) u, and (matching the conserved total-energy
           identity of the continuum system) a zero right-hand side in the
-          energy equation.  Set work_term=True to add the force work
-          delta rho u dPhi/dr for comparison runs.
+          energy equation, so E_k + E_i is conserved up to the outflow flux.
 
 The momentum source splits into the well-balanced geometric part
 p (a_out - a_in) / w -- which cancels the flux of a uniform pressure
@@ -38,7 +37,7 @@ from .core import ModelParams, RadialGrid, RadialState
 from .diagnostics import (FunctionalSet, QuantitySet, compute_functionals,
                           compute_quantities, finite_difference_rates,
                           NonuniformSpacingError)
-from .poisson import radial_force, solve_potential
+from .poisson import enclosed_weight_force, solve_potential
 
 __all__ = ["SolverConfig", "RunResult", "step", "run"]
 
@@ -59,7 +58,6 @@ class SolverConfig:
     reconstruction: str = "muscl"
     output_stride: int = 1
     fixed_dt: Optional[float] = None
-    work_term: bool = False
 
     def __post_init__(self):
         if not (self.t_end > 0.0):
@@ -196,12 +194,8 @@ def _reconstruct(v: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
-         cfg: SolverConfig, mode: str, phi: Optional[np.ndarray] = None):
-    """Flux divergence + sources for the conserved fields; returns max speed.
-
-    phi, when given, must be the potential of the floored density; it is
-    solved for otherwise.
-    """
+         cfg: SolverConfig, mode: str):
+    """Flux divergence + sources for the conserved fields; returns max speed."""
     gamma, n = params.gamma, params.n
     rho, u, p, c = _primitives(rho, mom, ene, params, cfg, mode)
 
@@ -239,12 +233,7 @@ def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
     # uniform pressure exactly
     d_mom += p * geo.area_jumps / w
 
-    if phi is None:
-        phi = solve_potential(rho, grid, n, tail_check=False)
-    grav = radial_force(phi, grid)
-    d_mom = d_mom + params.delta * rho * grav
-    if mode == "EP" and cfg.work_term:
-        d_ene = d_ene + params.delta * mom * grav
+    d_mom = d_mom + params.delta * rho * enclosed_weight_force(rho, grid, n)
 
     max_speed = float((np.abs(u) + c).max())
     return d_rho, d_mom, d_ene, max_speed
@@ -289,19 +278,13 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     """Advance one Heun step; returns (new state, info).
 
     info carries the dt actually used, the CFL-limited dt, and positivity
-    flags.  The potential is solved at stage 2.  Stage 1 reuses state.phi
-    when the density already sits at or above the floor, because then it
-    is exactly the potential a fresh solve would give; otherwise it solves
-    as well.
+    flags.  The new state carries no potential.
     """
     mode = state.mode
     rho0, mom0, ene0 = _conserved(state, params)
-    phi0 = None
-    if state.phi is not None and (state.rho >= cfg.density_floor).all():
-        phi0 = state.phi
 
     d_rho, d_mom, d_ene, speed = _rhs(rho0, mom0, ene0, grid, params, cfg,
-                                      mode, phi0)
+                                      mode)
     dt_cfl = cfg.cfl * grid.dr / max(speed, 1e-300)
     if dt is None:
         dt = cfg.fixed_dt if cfg.fixed_dt is not None else dt_cfl
@@ -361,10 +344,6 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
             f"initial peak {peak0:.3e}; keep it at or below 1e-10 * peak"
         )
 
-    if state.phi is None:
-        state = state.with_phi(solve_potential(state.rho, grid, params.n,
-                                               tail_check=False))
-
     # velocity-gradient scale for the steepening detector; fall back on an
     # acoustic scale when the initial flow is at rest
     du0 = np.gradient(state.u_r, grid.dr)
@@ -383,15 +362,20 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
 
     quantities, functionals, grads, entropies = [], [], [], []
 
-    def sample(s: RadialState, max_grad: float) -> None:
+    def sample(s: RadialState, max_grad: float) -> RadialState:
+        """Record s with its potential attached, solving it if s has none."""
+        if s.phi is None:
+            s = s.with_phi(solve_potential(s.rho, grid, params.n,
+                                           tail_check=False))
         q = compute_quantities(s, grid, params)
         quantities.append(q)
         functionals.append(compute_functionals(q, params))
         grads.append(max_grad)
         if s.mode == "EP":
             entropies.append(float(np.min(s.entropy)))
+        return s
 
-    sample(state, _max_grad(state, grid, peak0))
+    state = sample(state, _max_grad(state, grid, peak0))
 
     stop_reason = "t_end"
     steps = 0
@@ -416,25 +400,20 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         sample_due = (steps % cfg.output_stride == 0) or (
             current.time >= cfg.t_end - 1e-12 * cfg.t_end)
         if sample_due:
-            # the next step reuses this potential at its first stage
-            current = current.with_phi(solve_potential(
-                current.rho, grid, params.n, tail_check=False))
-            sample(current, max_grad)
+            current = sample(current, max_grad)
         if max_grad > grad_cap:
             stop_reason = "gradient-blowup"
             break
 
-    final = current
-    if final.phi is None:
-        final = final.with_phi(solve_potential(final.rho, grid, params.n,
-                                               tail_check=False))
-    if quantities[-1].time < final.time - 1e-15:
-        sample(final, _max_grad(final, grid, peak0))
+    # every sampled state carries its potential; record the final state
+    # if the loop left it unsampled
+    if current.phi is None:
+        current = sample(current, _max_grad(current, grid, peak0))
     return RunResult(
         quantities=quantities,
         functionals=functionals,
         stop_reason=stop_reason,
-        final_state=final,
+        final_state=current,
         steps_taken=steps,
         max_grad_u=max(grads),
         min_entropy=min(entropies) if entropies else None,

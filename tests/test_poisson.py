@@ -22,7 +22,6 @@ from epblowup.poisson import (
     GridMismatchError,
     enclosed_weight_force,
     laplacian_residual,
-    radial_force,
     solve_potential,
 )
 
@@ -66,24 +65,30 @@ def test_potential_negative_and_monotone_for_positive_source():
 
 
 def test_forces_agree_and_match_closed_form():
+    # the enclosed-moment force against the slope of the solved potential
+    # and against the gaussian closed form Phi'(r) = M(r) / r^2
     g = RadialGrid(8.0, 1024)
     rho = np.exp(-g.centers**2)
-    phi = solve_potential(rho, g, 3)
-    f_grad = radial_force(phi, g)
     f_mass = enclosed_weight_force(rho, g, 3)
+    f_grad = np.gradient(solve_potential(rho, g, 3), g.dr, edge_order=2)
     assert np.max(np.abs(f_grad - f_mass)) < 2e-4
-    # gaussian closed form: Phi'(r) = M(r) / r^2
     r = g.centers
     exact = (math.pi**1.5 * erf(r) - 2.0 * math.pi * r * np.exp(-(r**2))) / r**2
-    assert np.max(np.abs(f_grad - exact)) < 2e-4
+    assert np.max(np.abs(f_mass - exact)) < 5e-5  # measured 3.3e-5
 
 
-def test_force_endpoints_second_order():
-    # one-sided stencils at both ends: exact for a quadratic potential
-    g = RadialGrid(4.0, 64)
-    phi = 0.5 * g.centers**2 - 3.0
-    f = radial_force(phi, g)
-    assert np.max(np.abs(f - g.centers)) < 1e-12
+@pytest.mark.parametrize("cells", [512, 1024, 2048])
+def test_ball_force_exact_with_edge_on_cell_edge(cells):
+    # R = 1 is a cell edge at every resolution here, so every enclosed
+    # moment is an exact sum of shell volumes: the force is exact to
+    # roundoff (measured <= 1.2e-15 of the peak), where central differences
+    # of Phi are first order at the edge (2.9e-3, 1.5e-3, 7.3e-4)
+    g = RadialGrid(8.0, cells)
+    r = g.centers
+    f = enclosed_weight_force((r < 1.0).astype(float), g, 3)
+    exact = np.where(r < 1.0, 4.0 * math.pi * r / 3.0,
+                     4.0 * math.pi / (3.0 * r**2))
+    assert np.max(np.abs(f - exact)) <= 1e-13 * np.max(exact)
 
 
 def test_laplacian_residual_small_for_solved_fields():
@@ -108,7 +113,7 @@ def test_grid_mismatch_raises():
     g = RadialGrid(8.0, 128)
     rho = np.exp(-g.centers**2)
     with pytest.raises(GridMismatchError):
-        radial_force(np.zeros(64), g)
+        enclosed_weight_force(np.zeros(64), g, 3)
     with pytest.raises(GridMismatchError):
         laplacian_residual(rho, np.zeros(64), g, 3)
 

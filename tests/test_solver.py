@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from epblowup import solver
-from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
+from epblowup.core import (ModelParams, ProfileSpec, RadialGrid, RadialState,
+                           build_profile)
 from epblowup.poisson import solve_potential
 from epblowup.solver import (RunResult, SolverConfig, _minmod, _reconstruct,
                              run, step)
@@ -144,30 +145,21 @@ def test_collapse_inertia_parabola():
     assert float(np.min(steep - G)) < -0.5
 
 
-def test_energy_mode_switch_is_complementary():
-    # the energy equation can be closed with or without the coupling work
-    # term; each choice conserves its own invariant and visibly breaks the
-    # other one
+def test_ep_closure_conserves_ek_ei_not_e_total():
+    # the energy equation has no force-work term, so the scheme conserves
+    # E_k + E_i and visibly exchanges the interaction energy
     params = P3
     g = RadialGrid(8.0, 512)
     st = build_profile(ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0,
                                    s0=0.3), g, params, mode="EP")
+    qs = run(st, g, params, SolverConfig(t_end=0.2)).quantities
 
-    r_plain = run(st, g, params, SolverConfig(t_end=0.2))
-    r_work = run(st, g, params, SolverConfig(t_end=0.2, work_term=True))
-
-    def drift(result, key):
-        qs = result.quantities
-        if key == "ek_ei":
-            vals = np.array([q.e_kin + q.e_int for q in qs])
-        else:
-            vals = np.array([q.e_total for q in qs])
+    def drift(vals):
+        vals = np.array(vals)
         return float(np.max(np.abs(vals - vals[0])) / abs(vals[0]))
 
-    assert drift(r_plain, "ek_ei") < 1e-4
-    assert drift(r_plain, "e_total") > 1e-3
-    assert drift(r_work, "e_total") < 1e-4
-    assert drift(r_work, "ek_ei") > 1e-3
+    assert drift([q.e_kin + q.e_int for q in qs]) < 1e-4
+    assert drift([q.e_total for q in qs]) > 1e-3
 
 
 def test_summary_is_mode_aware():
@@ -256,10 +248,9 @@ def test_limiter_and_reconstruction_match_reference():
                 assert faces[1, k].tobytes() == right.tobytes()
 
 
-def test_potential_reuse_is_exact():
-    # stride 1 reuses the sampled potential at every step; stride 2 solves
-    # afresh after each unsampled step, so equal samples show the reuse
-    # changes no bit
+def test_sampling_stride_changes_no_bit():
+    # sampling only reads the marched state: stride 1 and stride 2 give
+    # the same samples at the shared times and the same final state
     g, cases = cloud_and_ball()
     for state, params in cases:
         every = run(state, g, params, SolverConfig(t_end=0.1, output_stride=1))
@@ -274,7 +265,9 @@ def test_potential_reuse_is_exact():
                     == getattr(second.final_state, name).tobytes())
 
 
-def test_two_potential_solves_per_step(monkeypatch):
+def test_potential_solved_once_per_sample(monkeypatch):
+    # stepping takes its force from the enclosed mass; only the samples
+    # need the potential, for their interaction energy
     calls = []
 
     def counted(*args, **kwargs):
@@ -285,6 +278,44 @@ def test_two_potential_solves_per_step(monkeypatch):
     g, cases = cloud_and_ball()
     for state, params in cases:
         calls.clear()
-        result = run(state, g, params, SolverConfig(t_end=0.1))
+        step(state, g, params, SolverConfig(t_end=0.1), dt=1e-4)
+        assert calls == []
+        result = run(state, g, params, SolverConfig(t_end=0.1, output_stride=3))
         assert result.steps_taken > 10
-        assert len(calls) <= 2 * result.steps_taken + 2
+        assert len(calls) == len(result.quantities)
+
+
+# gamma = 2 Lane-Emden polytrope in n = 3 (Chandrasekhar 1939): p = rho**2
+# and dp/dr = -rho dPhi/dr with Lap(Phi) = 4 pi rho give
+# Lap(rho) + 2 pi rho = 0, so rho = sin(k r) / (k r) with k = sqrt(2 pi),
+# vanishing at R = pi / k
+POLY = ModelParams(n=3, gamma=2.0, delta=-1)
+POLY_K = math.sqrt(2.0 * math.pi)
+POLY_R = math.pi / POLY_K
+
+
+def polytrope(g):
+    # exact shell averages from int_0^r sin(ks)/(ks) s^2 ds
+    #   = (sin(kr) - kr cos(kr)) / k^3, plus a thin atmosphere
+    kr = POLY_K * np.minimum(g.edges, POLY_R)
+    moment = (np.sin(kr) - kr * np.cos(kr)) / POLY_K**3
+    rho = 3.0 * np.diff(moment) / np.diff(g.edges**3) + 1e-12
+    return RadialState(rho=rho, u_r=np.zeros_like(rho), p=rho**POLY.gamma,
+                       mode="IEP")
+
+
+def test_polytrope_stays_at_rest_to_second_order():
+    # the residual flow of a hydrostatic star shrinks at second order in
+    # the interior (measured 7.40e-4, 1.89e-4, 4.78e-5).  The vacuum edge
+    # itself does not converge: max |u| there stays near 0.3 at every
+    # resolution (ROADMAP item 3), so only r < 0.8 R counts here.
+    residual = []
+    for cells in (128, 256, 512):
+        g = RadialGrid(4.0, cells)
+        result = run(polytrope(g), g, POLY, SolverConfig(t_end=0.2))
+        assert result.stop_reason == "t_end"
+        interior = g.centers < 0.8 * POLY_R
+        residual.append(float(np.max(np.abs(result.final_state.u_r[interior]))))
+    ratios = [residual[i] / residual[i + 1] for i in range(2)]
+    for ratio in ratios:
+        assert 3.2 < ratio < 4.8, f"residuals {residual}"
