@@ -41,7 +41,9 @@ def _effective_chlp(setup: RunSetup) -> float:
 
 def _prepared_table(setup: RunSetup):
     state = setup.build_state()
-    state = state.with_phi(solve_potential(state.rho, setup.grid, setup.params.n))
+    # build_state already held the tail to the config's tail_tol
+    state = state.with_phi(solve_potential(state.rho, setup.grid, setup.params.n,
+                                           tail_check=False))
     return state, build_table(state, setup.grid, setup.params,
                               c_hlp=_effective_chlp(setup))
 

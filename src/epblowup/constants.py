@@ -10,7 +10,6 @@ C0..C11 assembled from initial data.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -313,9 +312,6 @@ class ConstantsTable:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:

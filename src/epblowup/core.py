@@ -341,8 +341,7 @@ def build_profile(
 #   grid.r_max, grid.cells
 #   model.n, model.gamma, model.delta, model.R
 #   chlp                 Fourier-inequality constant (env EP_CHLP overrides)
-#   solver.cfl, solver.t_end, solver.output_stride, solver.density_floor,
-#   solver.reconstruction (pc | muscl)
+#   solver.cfl, solver.t_end, solver.output_stride, solver.density_floor
 
 _FLOAT_KEYS = {
     "amplitude", "width", "radius", "velocity.alpha", "entropy.s0",
@@ -350,7 +349,7 @@ _FLOAT_KEYS = {
     "solver.cfl", "solver.t_end", "solver.density_floor",
 }
 _INT_KEYS = {"grid.cells", "model.n", "model.delta", "solver.output_stride"}
-_STR_KEYS = {"mode", "kind", "velocity.kind", "solver.reconstruction"}
+_STR_KEYS = {"mode", "kind", "velocity.kind"}
 _LIST_KEYS = {"table.r", "table.rho", "table.u", "table.s"}
 
 

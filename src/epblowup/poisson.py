@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import unit_ball_measure
-from .core import RadialGrid, ShellGeometry, check_tail, DEFAULT_TAIL_TOL
+from .core import RadialGrid, ShellGeometry, check_tail
 
 __all__ = [
     "GridMismatchError",
@@ -49,7 +49,6 @@ def _inner_moment(rho: np.ndarray, geo: ShellGeometry, n: int) -> np.ndarray:
 
 
 def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
-                    tail_tol: float = DEFAULT_TAIL_TOL,
                     tail_check: bool = True) -> np.ndarray:
     """Potential at cell centers via the two cumulative radial integrals.
 
@@ -60,7 +59,7 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
     """
     rho = _check(rho, grid)
     if tail_check:
-        check_tail(rho, grid, tail_tol)
+        check_tail(rho, grid)
     geo = grid.geometry(n)
     inner = _inner_moment(rho, geo, n)
 

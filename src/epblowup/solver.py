@@ -2,19 +2,22 @@
 
 Desk-scale scheme meant to exercise the diagnostics, not a production
 hydro code.  Conservative update on the radial metric with exact shell
-volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes,
-optional minmod MUSCL reconstruction and two-stage Heun time stepping.
-Each stage takes the interaction force dPhi/dr of its own density from the
-enclosed moment (poisson.enclosed_weight_force), so stepping never solves
-for Phi; run() solves it only for the states it samples, whose potential
-energy needs it.
+volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes on
+minmod MUSCL face states and two-stage Heun time stepping.  Each stage takes
+the interaction force dPhi/dr of its own density from the enclosed moment
+(poisson.enclosed_weight_force), so stepping never solves for Phi; run()
+solves it only for the states it samples, whose potential energy needs it.
 
-Closures:
-  IEP  -- conserved (rho, rho u),       pressure rho**gamma;
-  EP   -- conserved (rho, rho u, E),    E = rho u^2 / 2 + p / (gamma - 1),
+A step works on one stacked array U of conserved rows:
+  IEP  -- (rho, rho u),       pressure rho**gamma;
+  EP   -- (rho, rho u, E),    E = rho u^2 / 2 + p / (gamma - 1),
           energy flux (E + p) u, and (matching the conserved total-energy
           identity of the continuum system) a zero right-hand side in the
           energy equation, so E_k + E_i is conserved up to the outflow flux.
+Each Heun stage is one array update of U.  One vacuum policy (_clean)
+follows every update: it floors the density, zeroes the momentum of cells
+below ten times the floor and holds EP energy above a cold adiabat.  The
+signal speed max(|u| + c) of the cleaned input bounds the step.
 
 The momentum source splits into the well-balanced geometric part
 p (a_out - a_in) / w -- which cancels the flux of a uniform pressure
@@ -55,7 +58,6 @@ class SolverConfig:
     t_end: float
     cfl: float = 0.4
     density_floor: float = 1e-14
-    reconstruction: str = "muscl"
     output_stride: int = 1
     fixed_dt: Optional[float] = None
 
@@ -66,8 +68,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not (self.density_floor > 0.0):
             raise ValueError("density_floor must be positive")
-        if self.reconstruction not in ("pc", "muscl"):
-            raise ValueError(f"unknown reconstruction {self.reconstruction!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         if self.fixed_dt is not None and self.fixed_dt <= 0.0:
@@ -139,24 +139,45 @@ class RunResult:
 # Scheme internals
 # --------------------------------------------------------------------------
 
-def _pressure(rho: np.ndarray, ene: Optional[np.ndarray], mom: np.ndarray,
-              params: ModelParams, mode: str) -> np.ndarray:
-    if mode == "IEP":
-        return rho ** params.gamma
-    kinetic = 0.5 * mom**2 / rho
-    return (params.gamma - 1.0) * (ene - kinetic)
+def _conserved(state: RadialState, params: ModelParams) -> np.ndarray:
+    """The state's conserved rows (rho, rho u), plus E in EP mode."""
+    rows = [state.rho, state.rho * state.u_r]
+    if state.mode == "EP":
+        rows.append(state.p / (params.gamma - 1.0) + 0.5 * state.rho * state.u_r**2)
+    return np.stack(rows)
 
 
-def _primitives(rho, mom, ene, params: ModelParams, cfg: SolverConfig,
-                mode: str):
-    """Floored density, velocity, non-negative pressure and sound speed."""
+def _clean(U: np.ndarray, cfg: SolverConfig, gamma: float) -> np.ndarray:
+    """Apply the vacuum policy to the conserved rows U in place; returns U.
+
+    Density is floored, cells below ten times the floor lose their momentum,
+    and EP energy is held at or above a cold adiabat far below any physical
+    state: in near-vacuum cells the force kick can push kinetic energy past
+    the total, and the recovered pressure must stay positive.
+    """
     floor = cfg.density_floor
-    rho = np.maximum(rho, floor)
-    u = np.where(rho > 10.0 * floor, mom / rho, 0.0)
-    p = _pressure(rho, ene, mom, params, mode)
-    p = np.maximum(p, 0.0)
-    c = np.sqrt(params.gamma * p / rho)
-    return rho, u, p, c
+    rho = np.maximum(U[0], floor, out=U[0])
+    U[1] = np.where(rho > 10.0 * floor, U[1], 0.0)
+    if len(U) == 3:
+        e_min = 1e-12 * rho**gamma / (gamma - 1.0)
+        np.maximum(U[2], 0.5 * U[1]**2 / rho + e_min, out=U[2])
+    return U
+
+
+def _primitives(U: np.ndarray, gamma: float):
+    """Velocity, recovered pressure and sound speed of clean conserved rows.
+
+    The pressure is returned as recovered, so a negative value stays
+    visible; the sound speed takes its non-negative part.
+    """
+    rho, mom = U[0], U[1]
+    u = mom / rho
+    if len(U) == 3:
+        p = (gamma - 1.0) * (U[2] - 0.5 * mom**2 / rho)
+    else:
+        p = rho**gamma
+    c = np.sqrt(gamma * np.maximum(p, 0.0) / rho)
+    return u, p, c
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,41 +187,40 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fmax(np.minimum(a, b), 0.0) + np.fmin(np.maximum(a, b), 0.0) + 0.0
 
 
-def _reconstruct(v: np.ndarray, scheme: str) -> np.ndarray:
-    """Face states of each row of v at interior faces 1..N-1 plus the
-    outflow face N, stacked as one (2, rows, N) array [left, right]."""
+def _reconstruct(v: np.ndarray) -> np.ndarray:
+    """Minmod MUSCL face states of each row of v at interior faces 1..N-1
+    plus the outflow face N, stacked as one (2, rows, N) array [left, right]."""
     rows, cells = v.shape
     # all rows go through one pass over the flattened array; the entries
     # that straddle two rows are overwritten by the outflow faces below
     flat = v.reshape(-1)
     faces = np.empty((2, rows * cells))
     left, right = faces
-    if scheme == "pc":
-        left[:] = flat
-        right[:-1] = flat[1:]
-    else:
-        d = flat[1:] - flat[:-1]
-        half = np.zeros_like(flat)
-        half[1:-1] = 0.5 * _minmod(d[:-1], d[1:])
-        # no slope in the first and last cell of each row
-        half[::cells] = 0.0
-        half[cells - 1::cells] = 0.0
-        np.add(flat, half, out=left)
-        np.subtract(flat[1:], half[1:], out=right[:-1])
+    d = flat[1:] - flat[:-1]
+    half = np.zeros_like(flat)
+    half[1:-1] = 0.5 * _minmod(d[:-1], d[1:])
+    # no slope in the first and last cell of each row
+    half[::cells] = 0.0
+    half[cells - 1::cells] = 0.0
+    np.add(flat, half, out=left)
+    np.subtract(flat[1:], half[1:], out=right[:-1])
     faces = faces.reshape(2, rows, cells)
     # outflow face: extrapolate the last cell as-is
     faces[:, :, -1] = v[:, -1]
     return faces
 
 
-def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
-         cfg: SolverConfig, mode: str):
-    """Flux divergence + sources for the conserved fields; returns max speed."""
+def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams,
+         cfg: SolverConfig):
+    """Time derivative of the clean conserved rows U, and the largest cell
+    signal speed |u| + c."""
     gamma, n = params.gamma, params.n
-    rho, u, p, c = _primitives(rho, mom, ene, params, cfg, mode)
+    rho = U[0]
+    u, p, c = _primitives(U, gamma)
+    p = np.maximum(p, 0.0)
 
-    # every face quantity below is a (2, N) pair of left and right states
-    faces = _reconstruct(np.stack((rho, u, p)), cfg.reconstruction)
+    # every face quantity below is a (2, ...) pair of left and right states
+    faces = _reconstruct(np.stack((rho, u, p)))
     rho_f, u_f, p_f = faces[:, 0], faces[:, 1], faces[:, 2]
     np.maximum(p_f, 0.0, out=p_f)
     np.maximum(rho_f, cfg.density_floor, out=rho_f)
@@ -208,62 +228,34 @@ def _rhs(rho, mom, ene, grid: RadialGrid, params: ModelParams,
     half_s = 0.5 * np.maximum(speed_l, speed_r)
 
     mom_f = rho_f * u_f
-    (rho_l, rho_r), (p_l, p_r), (mom_l, mom_r) = rho_f, p_f, mom_f
-    mu_l, mu_r = mom_f * u_f
-    fluxes = [
-        0.5 * (mom_l + mom_r) - half_s * (rho_r - rho_l),
-        0.5 * (mu_l + p_l + mu_r + p_r) - half_s * (mom_r - mom_l),
-    ]
-    if mode == "EP":
+    states = [rho_f, mom_f]
+    fluxes = [mom_f, mom_f * u_f + p_f]
+    if len(U) == 3:
         e_f = p_f / (gamma - 1.0) + 0.5 * rho_f * u_f**2
-        eu_l, eu_r = (e_f + p_f) * u_f
-        fluxes.append(0.5 * (eu_l + eu_r) - half_s * (e_f[1] - e_f[0]))
+        states.append(e_f)
+        fluxes.append((e_f + p_f) * u_f)
+    (U_l, U_r), (F_l, F_r) = np.stack(states, 1), np.stack(fluxes, 1)
+    # Rusanov flux over all rows at once
+    flux = 0.5 * (F_l + F_r) - half_s * (U_r - U_l)
 
     # metric factors: face areas r**(n-1) (zero at the origin) and exact
     # shell volumes; the origin face needs no flux at all
     geo = grid.geometry(n)
     w = geo.weights
-    flux = np.zeros((len(fluxes), grid.cells + 1))
-    for row, f in zip(flux, fluxes):
-        np.multiply(geo.areas[1:], f, out=row[1:])
-    div = -(flux[:, 1:] - flux[:, :-1]) / w
-    d_rho, d_mom = div[0], div[1]
-    d_ene = div[2] if mode == "EP" else None
+    area_flux = np.zeros((len(U), grid.cells + 1))
+    np.multiply(geo.areas[1:], flux, out=area_flux[:, 1:])
+    dU = -(area_flux[:, 1:] - area_flux[:, :-1]) / w
     # well-balanced geometric source: cancels the area difference of a
     # uniform pressure exactly
-    d_mom += p * geo.area_jumps / w
-
-    d_mom = d_mom + params.delta * rho * enclosed_weight_force(rho, grid, n)
-
-    max_speed = float((np.abs(u) + c).max())
-    return d_rho, d_mom, d_ene, max_speed
+    dU[1] += p * geo.area_jumps / w
+    dU[1] += params.delta * rho * enclosed_weight_force(rho, grid, n)
+    return dU, float((np.abs(u) + c).max())
 
 
-def _clean(rho, mom, ene, cfg: SolverConfig, gamma: float):
-    rho = np.maximum(rho, cfg.density_floor)
-    mom = np.where(rho > 10.0 * cfg.density_floor, mom, 0.0)
-    if ene is not None:
-        # keep the recovered pressure positive: in near-vacuum cells the
-        # gravity kick can push kinetic energy past the total, so clamp the
-        # internal part to a cold adiabat far below any physical state
-        e_min = 1e-12 * rho**gamma / (gamma - 1.0)
-        ene = np.maximum(ene, 0.5 * mom**2 / rho + e_min)
-    return rho, mom, ene
-
-
-def _conserved(state: RadialState, params: ModelParams):
-    rho = state.rho.copy()
-    mom = state.rho * state.u_r
-    ene = None
-    if state.mode == "EP":
-        ene = state.p / (params.gamma - 1.0) + 0.5 * state.rho * state.u_r**2
-    return rho, mom, ene
-
-
-def _to_state(rho, mom, ene, params: ModelParams, cfg: SolverConfig,
+def _to_state(U: np.ndarray, params: ModelParams, cfg: SolverConfig,
               mode: str, t: float) -> RadialState:
-    u = np.where(rho > 10.0 * cfg.density_floor, mom / rho, 0.0)
-    p = _pressure(rho, ene, mom, params, mode)
+    rho = U[0]
+    u, p, _ = _primitives(U, params.gamma)
     entropy = None
     if mode == "EP":
         # recovered entropy field; only meaningful where there is gas
@@ -274,44 +266,31 @@ def _to_state(rho, mom, ene, params: ModelParams, cfg: SolverConfig,
 
 
 def step(state: RadialState, grid: RadialGrid, params: ModelParams,
-         cfg: SolverConfig, dt: Optional[float] = None) -> tuple[RadialState, dict]:
-    """Advance one Heun step; returns (new state, info).
+         cfg: SolverConfig, dt: float) -> tuple[RadialState, dict]:
+    """Advance one Heun step of at most dt; returns (new state, info).
 
-    info carries the dt actually used, the CFL-limited dt, and positivity
-    flags.  The new state carries no potential.
+    The conserved rows U of the state are cleaned once, then each stage is
+    one array update followed by the vacuum policy.  The step is dt held to
+    the CFL limit cfl * dr / max(|u| + c) of the cleaned input, or dt
+    itself when cfg.fixed_dt is set.  info carries the dt used, the CFL
+    limit dt_cfl and the positivity flag, which reads the recovered
+    pressure without a clamp at zero.  The new state carries no potential.
     """
-    mode = state.mode
-    rho0, mom0, ene0 = _conserved(state, params)
-
-    d_rho, d_mom, d_ene, speed = _rhs(rho0, mom0, ene0, grid, params, cfg,
-                                      mode)
+    gamma = params.gamma
+    U0 = _clean(_conserved(state, params), cfg, gamma)
+    dU0, speed = _rhs(U0, grid, params, cfg)
     dt_cfl = cfg.cfl * grid.dr / max(speed, 1e-300)
-    if dt is None:
-        dt = cfg.fixed_dt if cfg.fixed_dt is not None else dt_cfl
+    if cfg.fixed_dt is None:
+        dt = min(dt, dt_cfl)
 
-    rho1 = rho0 + dt * d_rho
-    mom1 = mom0 + dt * d_mom
-    ene1 = ene0 + dt * d_ene if mode == "EP" else None
-    rho1, mom1, ene1 = _clean(rho1, mom1, ene1, cfg, params.gamma)
+    U1 = _clean(U0 + dt * dU0, cfg, gamma)
+    dU1, _ = _rhs(U1, grid, params, cfg)
+    U2 = _clean(0.5 * (U0 + U1 + dt * dU1), cfg, gamma)
 
-    d_rho2, d_mom2, d_ene2, speed2 = _rhs(rho1, mom1, ene1, grid, params, cfg,
-                                          mode)
-    rho2 = 0.5 * (rho0 + rho1 + dt * d_rho2)
-    mom2 = 0.5 * (mom0 + mom1 + dt * d_mom2)
-    ene2 = 0.5 * (ene0 + ene1 + dt * d_ene2) if mode == "EP" else None
-    rho2, mom2, ene2 = _clean(rho2, mom2, ene2, cfg, params.gamma)
-
-    new = _to_state(rho2, mom2, ene2, params, cfg, mode, state.time + dt)
+    new = _to_state(U2, params, cfg, state.mode, state.time + dt)
     ok = bool(np.isfinite(new.rho).all() and np.isfinite(new.u_r).all()
               and np.isfinite(new.p).all() and (new.p >= 0.0).all())
-    return new, {"dt": dt, "dt_cfl": dt_cfl, "max_speed": max(speed, speed2),
-                 "positive": ok}
-
-
-def _sound_speed(state: RadialState, params: ModelParams,
-                 cfg: SolverConfig) -> np.ndarray:
-    return np.sqrt(params.gamma * np.maximum(state.p, 0.0)
-                   / np.maximum(state.rho, cfg.density_floor))
+    return new, {"dt": dt, "dt_cfl": dt_cfl, "positive": ok}
 
 
 def _max_grad(state: RadialState, grid: RadialGrid, rho_scale: float) -> float:
@@ -330,10 +309,11 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         cfg: SolverConfig) -> RunResult:
     """March to t_end (or an early stop), sampling diagnostics on the way.
 
-    The step size is the smaller of the CFL step and a base step derived
-    from the initial CFL limit with 10% headroom, rounded to divide t_end;
-    healthy runs therefore sample at exactly uniform times, and the series
-    only turns nonuniform when the flow genuinely accelerates.
+    Each step is asked for the base step, cut to what is left of t_end,
+    and step() holds it to its CFL limit.  The base step is the initial CFL
+    limit with 10% headroom, rounded to divide t_end; healthy runs therefore
+    sample at exactly uniform times, and the series only turns nonuniform
+    when the flow genuinely accelerates.
     """
     peak0 = float(np.max(state.rho))
     if peak0 <= 0.0:
@@ -344,18 +324,17 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
             f"initial peak {peak0:.3e}; keep it at or below 1e-10 * peak"
         )
 
-    # velocity-gradient scale for the steepening detector; fall back on an
-    # acoustic scale when the initial flow is at rest
-    du0 = np.gradient(state.u_r, grid.dr)
-    c0 = _sound_speed(state, params, cfg)
-    grad_scale = max(float(np.max(np.abs(du0))), float(np.max(c0)) / grid.r_max)
-    grad_cap = 1e3 * grad_scale
+    # the cleaned initial data give the step's own signal speed, and the
+    # steepening detector's scale: the initial wet-cell velocity gradient,
+    # or an acoustic scale when the initial flow is at rest
+    u, _, c = _primitives(_clean(_conserved(state, params), cfg, params.gamma),
+                          params.gamma)
+    grad0 = _max_grad(state, grid, peak0)
+    grad_cap = 1e3 * max(grad0, float(np.max(c)) / grid.r_max)
 
     if cfg.fixed_dt is not None:
         dt_base = cfg.fixed_dt
     else:
-        _, u, _, c = _primitives(*_conserved(state, params), params, cfg,
-                                 state.mode)
         speed0 = float((np.abs(u) + c).max())
         dt_raw = 0.9 * cfg.cfl * grid.dr / max(speed0, 1e-300)
         dt_base = cfg.t_end / max(1, math.ceil(cfg.t_end / dt_raw))
@@ -375,16 +354,14 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
             entropies.append(float(np.min(s.entropy)))
         return s
 
-    state = sample(state, _max_grad(state, grid, peak0))
+    state = sample(state, grad0)
 
     stop_reason = "t_end"
     steps = 0
     current = state
     while current.time < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(dt_base, cfg.t_end - current.time)
-        if cfg.fixed_dt is None:
-            dt = min(dt, _cfl_cap(current, grid, params, cfg))
-        nxt, info = step(current, grid, params, cfg, dt=dt)
+        nxt, info = step(current, grid, params, cfg,
+                         min(dt_base, cfg.t_end - current.time))
         steps += 1
         if not info["positive"]:
             stop_reason = "positivity"
@@ -419,9 +396,3 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         min_entropy=min(entropies) if entropies else None,
     )
 
-
-def _cfl_cap(state: RadialState, grid: RadialGrid, params: ModelParams,
-             cfg: SolverConfig) -> float:
-    """Current CFL-limited step for the running state."""
-    speed = float((np.abs(state.u_r) + _sound_speed(state, params, cfg)).max())
-    return cfg.cfl * grid.dr / max(speed, 1e-300)

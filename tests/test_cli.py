@@ -120,6 +120,25 @@ def test_verify_bounds_suite(gauss_cfg, capsys):
     assert bounds["count"] >= 2
 
 
+WIDE_CFG = GAUSS_CFG.replace("width = 1.0", "width = 2.5")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["constants"],
+                                  ["verify", "--suite", "bounds",
+                                   "--t-end", "0.02"]])
+def test_config_tail_tol_governs_every_command(argv, tmp_path, capsys):
+    # a width-2.5 gaussian leaves a tail ratio near 1e-4 at r_max = 8:
+    # fine under the config's tail_tol, too much for the default 1e-6
+    loose = tmp_path / "loose.cfg"
+    loose.write_text(WIDE_CFG + "tail_tol = 1e-3\n")
+    assert dispatch(argv[:1] + [str(loose)] + argv[1:]) in (0, 1)
+    assert capsys.readouterr().out
+    default = tmp_path / "default.cfg"
+    default.write_text(WIDE_CFG)
+    assert dispatch(argv[:1] + [str(default)] + argv[1:]) == 2
+    assert "tail ratio" in capsys.readouterr().err
+
+
 NONFINITE_CFGS = {
     "entropy": GAUSS_CFG.replace("mode = IEP", "mode = EP")
     + "entropy.s0 = inf\n",

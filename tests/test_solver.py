@@ -71,6 +71,39 @@ def test_uniform_sampling_for_rate_extraction():
     assert r.times[-1] == pytest.approx(0.1)
 
 
+def test_subfloor_velocity_does_not_cap_dt():
+    # the expanding cloud's initial data put u = 2r in cells whose density
+    # sits below the floor; the scheme treats them as at rest, so their
+    # speed must not cut the step and break the uniform sampling that the
+    # identity residuals need
+    g, [(cloud, params), _] = cloud_and_ball()
+    r = run(cloud, g, params, SolverConfig(t_end=0.1))
+    assert r.stop_reason == "t_end"
+    dts = np.diff(r.times)
+    assert np.max(np.abs(dts - dts[0])) < 1e-12
+    s = r.summary(params)
+    for key in ("residual_dG_dt", "residual_dF_dt", "residual_dM_dt"):
+        assert s[key] is not None
+
+
+def test_run_advances_through_module_step(monkeypatch):
+    # per-step tracing wraps solver.step from outside the package and reads
+    # the (RadialState, info) pair and info["dt"] of every call
+    calls = []
+
+    def counted(*args, **kwargs):
+        new, info = result = step(*args, **kwargs)
+        calls.append((type(new), "dt" in info))
+        return result
+
+    monkeypatch.setattr(solver, "step", counted)
+    g = RadialGrid(8.0, 128)
+    st = build_profile(GAUSS, g, P3, mode="IEP")
+    r = run(st, g, P3, SolverConfig(t_end=0.02))
+    assert r.steps_taken > 0
+    assert calls == [(RadialState, True)] * r.steps_taken
+
+
 def test_density_floor_guard():
     g = RadialGrid(8.0, 64)
     st = build_profile(GAUSS, g, P3, mode="IEP")
@@ -92,23 +125,6 @@ def test_gaussian_self_convergence_smooth():
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     for ratio in ratios:
         assert 3.2 < ratio < 4.8, f"ratios {ratios}"
-
-
-def test_piecewise_constant_option_is_first_order():
-    # the order-1 reconstruction stays available, and is visibly worse on
-    # smooth flow
-    g = RadialGrid(8.0, 256)
-    st = build_profile(GAUSS, g, P3, mode="IEP")
-    r2 = run(st, g, P3, SolverConfig(t_end=0.05, reconstruction="muscl"))
-    r1 = run(st, g, P3, SolverConfig(t_end=0.05, reconstruction="pc"))
-    g4 = RadialGrid(8.0, 1024)
-    st4 = build_profile(GAUSS, g4, P3, mode="IEP")
-    ref = run(st4, g4, P3, SolverConfig(t_end=0.05)).final_state.rho
-    ref_c = ref.reshape(256, 4).mean(axis=1)
-    w = g.shell_weights(3)
-    e1 = np.sum(np.abs(r1.final_state.rho - ref_c) * w)
-    e2 = np.sum(np.abs(r2.final_state.rho - ref_c) * w)
-    assert e2 < 0.2 * e1
 
 
 def ep_ball_run(cells=256):
@@ -215,15 +231,12 @@ def _minmod_reference(a, b):
                     s * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def _reconstruct_reference(v, scheme):
+def _reconstruct_reference(v):
     # one row at a time, face arrays grown by appending the outflow face
-    if scheme == "pc":
-        left, right = v[:-1], v[1:]
-    else:
-        dv = np.zeros_like(v)
-        dv[1:-1] = _minmod_reference(v[1:-1] - v[:-2], v[2:] - v[1:-1])
-        left = v[:-1] + 0.5 * dv[:-1]
-        right = v[1:] - 0.5 * dv[1:]
+    dv = np.zeros_like(v)
+    dv[1:-1] = _minmod_reference(v[1:-1] - v[:-2], v[2:] - v[1:-1])
+    left = v[:-1] + 0.5 * dv[:-1]
+    right = v[1:] - 0.5 * dv[1:]
     return np.append(left, v[-1]), np.append(right, v[-1])
 
 
@@ -240,12 +253,11 @@ def test_limiter_and_reconstruction_match_reference():
         v[:, ::7] = 0.0
         v[1, ::5] = -0.0
         v[trial % 3, trial] = np.nan
-        for scheme in ("pc", "muscl"):
-            faces = _reconstruct(v, scheme)
-            for k in range(3):
-                left, right = _reconstruct_reference(v[k], scheme)
-                assert faces[0, k].tobytes() == left.tobytes()
-                assert faces[1, k].tobytes() == right.tobytes()
+        faces = _reconstruct(v)
+        for k in range(3):
+            left, right = _reconstruct_reference(v[k])
+            assert faces[0, k].tobytes() == left.tobytes()
+            assert faces[1, k].tobytes() == right.tobytes()
 
 
 def test_sampling_stride_changes_no_bit():
