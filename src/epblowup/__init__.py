@@ -10,8 +10,7 @@ from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
 from .criteria import (NoCrossingError, Verdict, WrongRegimeError, check_all,
                        check_ep_attractive, check_iep_attractive,
                        check_iep_repulsive, lifespan_bound)
-from .diagnostics import (FunctionalSet, MissingPotentialError,
-                          NonuniformSpacingError, QuantitySet,
+from .diagnostics import (FunctionalSet, NonuniformSpacingError, QuantitySet,
                           compute_functionals, compute_quantities,
                           finite_difference_rates, series_csv,
                           write_series_csv)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .constants import build_table
@@ -20,32 +19,13 @@ from .core import ConfigError, ProfileError, RadialGrid, RunSetup, parse_config
 from .criteria import WrongRegimeError, check_all
 from .diagnostics import write_series_csv
 from .oracles import run_suite, verify_energy_bounds
-from .poisson import solve_potential
 from .solver import SolverConfig, run
 
 __all__ = ["main", "dispatch"]
 
-_ENV_CHLP = "EP_CHLP"
-
-
-def _effective_chlp(setup: RunSetup) -> float:
-    raw = os.environ.get(_ENV_CHLP)
-    if raw is not None:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"environment variable {_ENV_CHLP}={raw!r} "
-                              f"is not a number")
-    return setup.chlp
-
-
 def _prepared_table(setup: RunSetup):
     state = setup.build_state()
-    # build_state already held the tail to the config's tail_tol
-    state = state.with_phi(solve_potential(state.rho, setup.grid, setup.params.n,
-                                           tail_check=False))
-    return state, build_table(state, setup.grid, setup.params,
-                              c_hlp=_effective_chlp(setup))
+    return state, build_table(state, setup.grid, setup.params, c_hlp=setup.chlp)
 
 
 def _jsonable(obj):
@@ -125,7 +105,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     setup = parse_config(args.config)
-    chlp = _effective_chlp(setup)
     suites = ["hls", "hlp", "chemin", "split", "bounds"] \
         if args.suite == "all" else [args.suite]
     payload = {"suites": {}}
@@ -146,7 +125,7 @@ def _cmd_verify(args) -> int:
             }
             ok = ok and worst >= -1e-8
         else:
-            report = run_suite(suite, setup.params, c_hlp=chlp,
+            report = run_suite(suite, setup.params, c_hlp=setup.chlp,
                                randomized=args.randomized)
             if not args.full:
                 report.pop("reports")

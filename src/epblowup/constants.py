@@ -317,8 +317,8 @@ class ConstantsTable:
 def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     """Assemble the certificate constants from initial data.
 
-    The state must carry its interaction potential (solve it first); the
-    moment integrals are evaluated with the midpoint rule.
+    The moment integrals, the potential energy among them, come from one
+    diagnostics.compute_quantities call (midpoint rule).
     """
     # local import: diagnostics sits above quadrature which needs this module
     from .diagnostics import compute_quantities

@@ -16,7 +16,7 @@ The gas can be evolved in two closures:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,9 +177,9 @@ class RadialGrid:
 class RadialState:
     """Radial flow snapshot: density, radial velocity, pressure, entropy.
 
-    Arrays live on grid centers and are treated as immutable; derived states
-    are produced with dataclasses.replace.  ``phi`` is the interaction
-    potential and stays None until a field solve attaches it.  ``entropy``
+    Arrays live on grid centers and are treated as immutable.  The
+    interaction potential is not stored: diagnostics.compute_quantities
+    solves it from rho where the potential energy needs it.  ``entropy``
     is None in IEP mode (the closure fixes p = rho**gamma).
     """
 
@@ -188,7 +188,6 @@ class RadialState:
     p: np.ndarray
     mode: str
     entropy: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
     time: float = 0.0
 
     def __post_init__(self):
@@ -198,9 +197,6 @@ class RadialState:
         for name in ("u_r", "p"):
             if len(getattr(self, name)) != m:
                 raise ValueError(f"field {name} length mismatch")
-
-    def with_phi(self, phi: np.ndarray) -> "RadialState":
-        return replace(self, phi=np.asarray(phi, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -250,20 +246,6 @@ def _interp_table(r: np.ndarray, xs, ys, what: str) -> np.ndarray:
     return np.interp(r, xs, ys)
 
 
-def check_tail(rho: np.ndarray, grid: RadialGrid, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Return the tail-to-peak density ratio; raise if it exceeds tail_tol."""
-    peak = float(np.max(rho))
-    if peak <= 0.0:
-        return 0.0
-    ratio = float(np.max(rho[grid.tail_slice()])) / peak
-    if ratio > tail_tol:
-        raise TailViolationError(
-            f"density tail ratio {ratio:.3e} exceeds {tail_tol:.1e}; "
-            f"enlarge r_max or tighten the profile"
-        )
-    return ratio
-
-
 def build_profile(
     spec: ProfileSpec,
     grid: RadialGrid,
@@ -296,7 +278,14 @@ def build_profile(
         raise ProfileError(f"{spec.kind} density vanishes identically on the "
                            f"grid (no cell center carries mass)")
 
-    check_tail(rho, grid, spec.tail_tol)
+    # the potential truncates the far field at r_max, which is only valid
+    # for a decayed density
+    ratio = float(np.max(rho[grid.tail_slice()])) / float(np.max(rho))
+    if ratio > spec.tail_tol:
+        raise TailViolationError(
+            f"density tail ratio {ratio:.3e} exceeds {spec.tail_tol:.1e}; "
+            f"enlarge r_max or tighten the profile"
+        )
 
     if spec.velocity_kind == "zero":
         u_r = np.zeros_like(r)
@@ -340,7 +329,7 @@ def build_profile(
 #   tail_tol             far-field decay tolerance
 #   grid.r_max, grid.cells
 #   model.n, model.gamma, model.delta, model.R
-#   chlp                 Fourier-inequality constant (env EP_CHLP overrides)
+#   chlp                 Fourier-inequality constant, positive
 #   solver.cfl, solver.t_end, solver.output_stride, solver.density_floor
 
 _FLOAT_KEYS = {
@@ -371,15 +360,19 @@ class RunSetup:
 def _parse_value(key: str, raw: str, line_no: int):
     raw = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key in _LIST_KEYS:
+            # build_profile rejects non-finite entries of every table it uses
             return [float(tok) for tok in raw.split(",") if tok.strip()]
+        if key not in _FLOAT_KEYS:
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"could not parse value {raw!r} for key {key!r}", line_no)
-    return raw
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value {raw!r} for key {key!r}", line_no)
+    return value
 
 
 def parse_config_text(text: str) -> RunSetup:
@@ -435,6 +428,10 @@ def parse_config_text(text: str) -> RunSetup:
     except (ValueError, ProfileError) as exc:
         raise ConfigError(str(exc)) from exc
 
+    chlp = values.get("chlp", 1.0)
+    if not (chlp > 0.0):
+        raise ConfigError(f"chlp must be positive, got {chlp}")
+
     solver_options = {
         key.split(".", 1)[1]: val
         for key, val in values.items()
@@ -445,7 +442,7 @@ def parse_config_text(text: str) -> RunSetup:
         grid=grid,
         spec=spec,
         mode=mode,
-        chlp=values.get("chlp", 1.0),
+        chlp=chlp,
         solver_options=solver_options,
     )
 

@@ -28,10 +28,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import ModelParams, RadialGrid, RadialState
+from .poisson import solve_potential
 from .quadrature import integrate_radial
 
 __all__ = [
-    "MissingPotentialError",
     "NonuniformSpacingError",
     "QuantitySet",
     "FunctionalSet",
@@ -45,10 +45,6 @@ __all__ = [
 
 CSV_COLUMNS = ("t", "M", "F", "G", "E_k", "E_i", "E_p", "E_delta", "H", "J")
 CSV_VERSION_LINE = "# epblowup time-series v2"
-
-
-class MissingPotentialError(ValueError):
-    """State has no attached potential; solve it before taking moments."""
 
 
 class NonuniformSpacingError(ValueError):
@@ -81,17 +77,14 @@ class FunctionalSet:
 
 def compute_quantities(state: RadialState, grid: RadialGrid,
                        params: ModelParams) -> QuantitySet:
-    """Evaluate all moment integrals of a snapshot (potential required).
+    """Evaluate all moment integrals of a snapshot.
 
-    Uses the midpoint rule: cell samples are treated as shell averages,
-    which matches the finite-volume data model (cell mass is reproduced
-    exactly) and keeps discontinuous profiles like uniform balls at full
-    accuracy.
+    The potential energy takes the potential of state.rho from one
+    solve_potential call.  Uses the midpoint rule: cell samples are treated
+    as shell averages, which matches the finite-volume data model (cell
+    mass is reproduced exactly) and keeps discontinuous profiles like
+    uniform balls at full accuracy.
     """
-    if state.phi is None:
-        raise MissingPotentialError(
-            "state carries no potential; run solve_potential and attach it first"
-        )
     n, gamma, delta = params.n, params.gamma, params.delta
     r = grid.centers
 
@@ -101,7 +94,8 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     half_inertia = 0.5 * integrate_radial(state.rho * r**2, grid, n, rule)
     e_kin = 0.5 * integrate_radial(state.rho * state.u_r**2, grid, n, rule)
     e_int = integrate_radial(state.p, grid, n, rule) / (gamma - 1.0)
-    int_rho_phi = integrate_radial(state.rho * state.phi, grid, n, rule)
+    phi = solve_potential(state.rho, grid, n)
+    int_rho_phi = integrate_radial(state.rho * phi, grid, n, rule)
     e_pot = -0.5 * delta * int_rho_phi
 
     return QuantitySet(

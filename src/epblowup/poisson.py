@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import unit_ball_measure
-from .core import RadialGrid, ShellGeometry, check_tail
+from .core import RadialGrid, ShellGeometry
 
 __all__ = [
     "GridMismatchError",
@@ -48,18 +48,15 @@ def _inner_moment(rho: np.ndarray, geo: ShellGeometry, n: int) -> np.ndarray:
     return inner + rho * geo.inner_cut / n
 
 
-def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int,
-                    tail_check: bool = True) -> np.ndarray:
+def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Potential at cell centers via the two cumulative radial integrals.
 
     Each cumulative sum is split at the evaluation point's own cell center,
     so the discretization is second order in the cell width.  The far-field
-    truncation at r_max is only valid for decayed densities; the tail check
-    enforces that and can be disabled for deliberately truncated tests.
+    truncation at r_max is only valid for decayed densities; build_profile
+    holds initial data to that, and this function does not check it.
     """
     rho = _check(rho, grid)
-    if tail_check:
-        check_tail(rho, grid)
     geo = grid.geometry(n)
     inner = _inner_moment(rho, geo, n)
 

@@ -5,8 +5,8 @@ hydro code.  Conservative update on the radial metric with exact shell
 volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes on
 minmod MUSCL face states and two-stage Heun time stepping.  Each stage takes
 the interaction force dPhi/dr of its own density from the enclosed moment
-(poisson.enclosed_weight_force), so stepping never solves for Phi; run()
-solves it only for the states it samples, whose potential energy needs it.
+(poisson.enclosed_weight_force), so stepping never solves for Phi; Phi is
+solved only inside diagnostics.compute_quantities, once per sampled state.
 
 A step works on one stacked array U of conserved rows:
   IEP  -- (rho, rho u),       pressure rho**gamma;
@@ -40,7 +40,7 @@ from .core import ModelParams, RadialGrid, RadialState
 from .diagnostics import (FunctionalSet, QuantitySet, compute_functionals,
                           compute_quantities, finite_difference_rates,
                           NonuniformSpacingError)
-from .poisson import enclosed_weight_force, solve_potential
+from .poisson import enclosed_weight_force
 
 __all__ = ["SolverConfig", "RunResult", "step", "run"]
 
@@ -62,8 +62,8 @@ class SolverConfig:
     fixed_dt: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not (self.density_floor > 0.0):
@@ -274,7 +274,7 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     the CFL limit cfl * dr / max(|u| + c) of the cleaned input, or dt
     itself when cfg.fixed_dt is set.  info carries the dt used, the CFL
     limit dt_cfl and the positivity flag, which reads the recovered
-    pressure without a clamp at zero.  The new state carries no potential.
+    pressure without a clamp at zero.
     """
     gamma = params.gamma
     U0 = _clean(_conserved(state, params), cfg, gamma)
@@ -313,7 +313,9 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     and step() holds it to its CFL limit.  The base step is the initial CFL
     limit with 10% headroom, rounded to divide t_end; healthy runs therefore
     sample at exactly uniform times, and the series only turns nonuniform
-    when the flow genuinely accelerates.
+    when the flow genuinely accelerates.  Each sample is one
+    compute_quantities call, which solves the sampled state's potential;
+    the final state is sampled once, whether the loop sampled it or not.
     """
     peak0 = float(np.max(state.rho))
     if peak0 <= 0.0:
@@ -341,24 +343,19 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
 
     quantities, functionals, grads, entropies = [], [], [], []
 
-    def sample(s: RadialState, max_grad: float) -> RadialState:
-        """Record s with its potential attached, solving it if s has none."""
-        if s.phi is None:
-            s = s.with_phi(solve_potential(s.rho, grid, params.n,
-                                           tail_check=False))
+    def sample(s: RadialState, max_grad: float) -> None:
         q = compute_quantities(s, grid, params)
         quantities.append(q)
         functionals.append(compute_functionals(q, params))
         grads.append(max_grad)
         if s.mode == "EP":
             entropies.append(float(np.min(s.entropy)))
-        return s
 
-    state = sample(state, grad0)
+    sample(state, grad0)
 
     stop_reason = "t_end"
     steps = 0
-    current = state
+    sampled = current = state
     while current.time < cfg.t_end - 1e-12 * cfg.t_end:
         nxt, info = step(current, grid, params, cfg,
                          min(dt_base, cfg.t_end - current.time))
@@ -377,15 +374,15 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         sample_due = (steps % cfg.output_stride == 0) or (
             current.time >= cfg.t_end - 1e-12 * cfg.t_end)
         if sample_due:
-            current = sample(current, max_grad)
+            sample(current, max_grad)
+            sampled = current
         if max_grad > grad_cap:
             stop_reason = "gradient-blowup"
             break
 
-    # every sampled state carries its potential; record the final state
-    # if the loop left it unsampled
-    if current.phi is None:
-        current = sample(current, _max_grad(current, grid, peak0))
+    # record the final state if the loop left it unsampled
+    if sampled is not current:
+        sample(current, _max_grad(current, grid, peak0))
     return RunResult(
         quantities=quantities,
         functionals=functionals,

@@ -38,8 +38,7 @@ def record(num: int, ok: bool, detail: str) -> None:
 def prepared(spec, cells, params=P53, mode="IEP"):
     grid = RadialGrid(8.0, cells)
     state = build_profile(spec, grid, params, mode=mode)
-    with_phi = state.with_phi(solve_potential(state.rho, grid, params.n))
-    table = build_table(with_phi, grid, params, c_hlp=CHLP)
+    table = build_table(state, grid, params, c_hlp=CHLP)
     return state, grid, table
 
 
@@ -68,9 +67,7 @@ def run_expanding(pytestconfig):
     setup = parse_config(pytestconfig.rootpath / "configs" /
                          "expanding_cloud.cfg")
     state = setup.build_state()
-    with_phi = state.with_phi(
-        solve_potential(state.rho, setup.grid, setup.params.n))
-    table = build_table(with_phi, setup.grid, setup.params, c_hlp=CHLP)
+    table = build_table(state, setup.grid, setup.params, c_hlp=CHLP)
     result = run(state, setup.grid, setup.params,
                  SolverConfig(**dict(setup.solver_options)))
     return result, table, setup.params
@@ -150,7 +147,6 @@ def test_criterion_04_momentum_weight_inequality(all_runs):
     spec = ProfileSpec(kind="gaussian", amplitude=1.0, width=1.0,
                        velocity_kind="linear", velocity_alpha=1.0)
     state = build_profile(spec, grid, P53, mode="IEP")
-    state = state.with_phi(solve_potential(state.rho, grid, 3))
     q = compute_quantities(state, grid, P53)
     prod = 4.0 * q.half_inertia * q.e_kin
     eq_rel = abs(q.momentum_weight**2 - prod) / prod

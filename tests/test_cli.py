@@ -1,6 +1,7 @@
 """Command-line smoke tests through dispatch()."""
 
 import json
+import warnings
 
 import pytest
 
@@ -47,13 +48,22 @@ def test_constants_prints_table(gauss_cfg, capsys, tmp_path):
     assert json.loads(out.read_text()) == payload
 
 
-def test_constants_env_override(gauss_cfg, capsys, monkeypatch):
-    monkeypatch.setenv("EP_CHLP", "3.0")
-    _, payload, _ = run_json(capsys, ["constants", gauss_cfg])
-    assert payload["C_HLP"] == 3.0
+def test_constants_env_override(tmp_path, capsys, monkeypatch):
+    # the config is the only source of chlp: EP_CHLP, once an override,
+    # neither changes C_HLP nor fails the run when it is not a number
+    path = tmp_path / "chlp.cfg"
+    path.write_text(GAUSS_CFG + "chlp = 3.0\n")
+    _, first, _ = run_json(capsys, ["constants", str(path)])
+    assert first["C_HLP"] == 3.0
+    monkeypatch.setenv("EP_CHLP", "5.0")
+    code, payload, _ = run_json(capsys, ["constants", str(path)])
+    assert code == 0
+    assert payload == first
     monkeypatch.setenv("EP_CHLP", "not-a-number")
-    assert dispatch(["constants", gauss_cfg]) == 2
-    assert "EP_CHLP" in capsys.readouterr().err
+    code, payload, err = run_json(capsys, ["constants", str(path)])
+    assert code == 0
+    assert payload == first
+    assert "EP_CHLP" not in err
 
 
 def test_check_reports_verdicts(gauss_cfg, capsys):
@@ -182,6 +192,40 @@ def test_usage_errors_exit_two(gauss_cfg, tmp_path, capsys):
     bad.write_text("mode = IEP\nwhat = ever\n")
     assert dispatch(["constants", str(bad)]) == 2
     capsys.readouterr()
+
+
+def with_line(line):
+    # GAUSS_CFG with `line` in place of any line that sets the same key
+    key = line.split("=")[0].strip()
+    kept = [old for old in GAUSS_CFG.splitlines()
+            if old.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+BAD_INPUTS = [
+    ("check", "chlp = -3.0", []),
+    ("check", "chlp = nan", []),
+    ("check", "model.gamma = inf", []),
+    ("check", "model.R = inf", []),
+    ("check", "tail_tol = nan", []),
+    ("check", "grid.r_max = inf", []),
+    ("simulate", "solver.t_end = inf", []),
+    ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),
+]
+
+
+@pytest.mark.parametrize("command, line, extra", BAD_INPUTS)
+def test_bad_value_exits_two(command, line, extra, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(with_line(line))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch([command, str(path)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_deterministic_output(gauss_cfg, capsys):

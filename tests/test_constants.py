@@ -16,7 +16,6 @@ from epblowup.constants import (
     unit_ball_measure,
 )
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
-from epblowup.poisson import solve_potential
 
 
 def test_unit_ball_measures():
@@ -102,7 +101,6 @@ def _ep_ball_table(cells):
     s0 = 1.5 * math.log(0.5)
     st = build_profile(ProfileSpec(kind="ball", amplitude=1.0, radius=1.0, s0=s0),
                        grid, params, mode="EP")
-    st = st.with_phi(solve_potential(st.rho, grid, 3))
     return build_table(st, grid, params, c_hlp=3.0)
 
 
@@ -141,7 +139,6 @@ def test_default_chlp_carries_caveat():
     params = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
     grid = RadialGrid(8.0, 128)
     st = build_profile(ProfileSpec(kind="gaussian"), grid, params)
-    st = st.with_phi(solve_potential(st.rho, grid, 3))
     tab = build_table(st, grid, params)  # c_hlp defaults to 1.0
     assert any("C_HLP" in note for note in tab.notes)
     tab3 = build_table(st, grid, params, c_hlp=3.0)
@@ -153,7 +150,6 @@ def test_infeasible_interpolation_reported_in_notes():
     params = ModelParams(n=3, gamma=1.1, delta=-1)
     grid = RadialGrid(8.0, 128)
     st = build_profile(ProfileSpec(kind="gaussian"), grid, params)
-    st = st.with_phi(solve_potential(st.rho, grid, 3))
     tab = build_table(st, grid, params)
     assert tab.c1 is None
     assert tab.theta is None

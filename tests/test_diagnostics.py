@@ -8,7 +8,6 @@ import pytest
 import epblowup.diagnostics as diag
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
 from epblowup.diagnostics import (
-    MissingPotentialError,
     NonuniformSpacingError,
     compute_functionals,
     compute_quantities,
@@ -16,7 +15,6 @@ from epblowup.diagnostics import (
     series_csv,
     write_series_csv,
 )
-from epblowup.poisson import solve_potential
 
 P3 = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
 
@@ -27,14 +25,7 @@ def make_state(velocity_alpha=0.0, cells=512):
                        velocity_kind="linear" if velocity_alpha else "zero",
                        velocity_alpha=velocity_alpha)
     st = build_profile(spec, g, P3, mode="IEP")
-    return st.with_phi(solve_potential(st.rho, g, 3)), g
-
-
-def test_requires_potential():
-    g = RadialGrid(8.0, 64)
-    st = build_profile(ProfileSpec(kind="gaussian"), g, P3)
-    with pytest.raises(MissingPotentialError):
-        compute_quantities(st, g, P3)
+    return st, g
 
 
 def test_quantity_values_against_closed_forms():

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from epblowup.core import RadialGrid, TailViolationError
+from epblowup.core import (ModelParams, ProfileSpec, RadialGrid,
+                           TailViolationError, build_profile)
 from epblowup.poisson import (
     GridMismatchError,
     enclosed_weight_force,
@@ -118,14 +119,17 @@ def test_grid_mismatch_raises():
         laplacian_residual(rho, np.zeros(64), g, 3)
 
 
-def test_tail_check_guards_truncation():
+def test_build_profile_guards_truncation():
+    # width 2 gaussian leaves real mass at r_max = 4: build_profile refuses
+    # it as initial data, while solve_potential solves any finite density
     g = RadialGrid(4.0, 256)
-    # width 2 gaussian leaves real mass at r_max = 4
-    rho = np.exp(-((g.centers / 2.0) ** 2))
+    spec = ProfileSpec(kind="gaussian", amplitude=1.0, width=2.0)
     with pytest.raises(TailViolationError):
-        solve_potential(rho, g, 3)
-    phi = solve_potential(rho, g, 3, tail_check=False)
+        build_profile(spec, g, ModelParams(n=3, gamma=5.0 / 3.0, delta=-1))
+    rho = np.exp(-((g.centers / 2.0) ** 2))
+    phi = solve_potential(rho, g, 3)
     assert phi.shape == (256,)
+    assert np.isfinite(phi).all()
 
 
 def test_n4_ball_exterior_kernel():

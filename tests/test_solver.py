@@ -14,7 +14,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from epblowup import solver
+from epblowup import diagnostics, solver
 from epblowup.core import (ModelParams, ProfileSpec, RadialGrid, RadialState,
                            build_profile)
 from epblowup.poisson import solve_potential
@@ -44,7 +44,6 @@ def l1_against_refined(spec, cells, fdt, t_end=0.1):
 def test_single_step_reports():
     g = RadialGrid(8.0, 128)
     st = build_profile(GAUSS, g, P3, mode="IEP")
-    st = st.with_phi(solve_potential(st.rho, g, 3))
     nxt, info = step(st, g, P3, SolverConfig(t_end=1.0), dt=1e-4)
     assert nxt.time == pytest.approx(1e-4)
     assert info["positive"]
@@ -133,7 +132,6 @@ def ep_ball_run(cells=256):
     s0 = 1.5 * math.log(0.5)
     st = build_profile(ProfileSpec(kind="ball", amplitude=1.0, radius=1.0, s0=s0),
                        g, params, mode="EP")
-    st = st.with_phi(solve_potential(st.rho, g, 3))
     table = build_table(st, g, params, c_hlp=3.0)
     return run(st, g, params, SolverConfig(t_end=1.0)), table
 
@@ -272,7 +270,7 @@ def test_sampling_stride_changes_no_bit():
         assert len(second.quantities) > 10
         for q in second.quantities:
             assert astuple(q) == astuple(by_time[q.time])
-        for name in ("rho", "u_r", "p", "phi"):
+        for name in ("rho", "u_r", "p"):
             assert (getattr(every.final_state, name).tobytes()
                     == getattr(second.final_state, name).tobytes())
 
@@ -286,7 +284,7 @@ def test_potential_solved_once_per_sample(monkeypatch):
         calls.append(1)
         return solve_potential(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_potential", counted)
+    monkeypatch.setattr(diagnostics, "solve_potential", counted)
     g, cases = cloud_and_ball()
     for state, params in cases:
         calls.clear()
