@@ -230,6 +230,9 @@ class ProfileSpec:
             raise ProfileError(f"unknown velocity kind {self.velocity_kind!r}")
         if self.kind != "tabulated" and not (self.amplitude > 0.0):
             raise ProfileError(f"amplitude must be positive, got {self.amplitude}")
+        if not (0.0 < self.tail_tol < math.inf):
+            raise ProfileError(
+                f"tail_tol must be positive and finite, got {self.tail_tol}")
 
 
 def _interp_table(r: np.ndarray, xs, ys, what: str) -> np.ndarray:

@@ -15,9 +15,11 @@ A step works on one stacked array U of conserved rows:
           identity of the continuum system) a zero right-hand side in the
           energy equation, so E_k + E_i is conserved up to the outflow flux.
 Each Heun stage is one array update of U.  One vacuum policy (_clean)
-follows every update: it floors the density, zeroes the momentum of cells
-below ten times the floor and holds EP energy above a cold adiabat.  The
-signal speed max(|u| + c) of the cleaned input bounds the step.
+follows every update: it floors the density and makes cells at or below ten
+times the floor inert vacuum -- zero momentum and, in EP mode, exactly the
+cold-adiabat energy -- while wet EP energy is held at or above that adiabat.
+The signal speed max(|u| + c) of the cleaned input bounds the step; since
+vacuum cells are cold, it reads the gas.
 
 The momentum source splits into the well-balanced geometric part
 p (a_out - a_in) / w -- which cancels the flux of a uniform pressure
@@ -150,17 +152,21 @@ def _conserved(state: RadialState, params: ModelParams) -> np.ndarray:
 def _clean(U: np.ndarray, cfg: SolverConfig, gamma: float) -> np.ndarray:
     """Apply the vacuum policy to the conserved rows U in place; returns U.
 
-    Density is floored, cells below ten times the floor lose their momentum,
-    and EP energy is held at or above a cold adiabat far below any physical
-    state: in near-vacuum cells the force kick can push kinetic energy past
-    the total, and the recovered pressure must stay positive.
+    Density is floored, and cells at or below ten times the floor are
+    vacuum: they lose their momentum and, in EP mode, hold exactly the
+    energy e_min of a cold adiabat far below any physical state, so energy
+    flux into them cannot heat them and their sound speed cannot set the
+    step.  Wet EP cells are held at or above kinetic energy plus e_min: the
+    force kick can push kinetic energy past the total, and the recovered
+    pressure must stay positive.
     """
     floor = cfg.density_floor
     rho = np.maximum(U[0], floor, out=U[0])
-    U[1] = np.where(rho > 10.0 * floor, U[1], 0.0)
+    wet = rho > 10.0 * floor
+    U[1] = np.where(wet, U[1], 0.0)
     if len(U) == 3:
         e_min = 1e-12 * rho**gamma / (gamma - 1.0)
-        np.maximum(U[2], 0.5 * U[1]**2 / rho + e_min, out=U[2])
+        U[2] = np.where(wet, np.maximum(U[2], 0.5 * U[1]**2 / rho + e_min), e_min)
     return U
 
 

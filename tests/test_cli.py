@@ -1,10 +1,15 @@
 """Command-line smoke tests through dispatch()."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import epblowup
 from epblowup.cli import dispatch
 
 GAUSS_CFG = """
@@ -233,3 +238,17 @@ def test_deterministic_output(gauss_cfg, capsys):
     first = capsys.readouterr().out
     dispatch(["constants", gauss_cfg])
     assert capsys.readouterr().out == first
+
+
+def test_module_entry_point_matches_dispatch(pytestconfig, capsys):
+    # `python -m epblowup` is the installed `epblowup` script
+    config = str(pytestconfig.rootpath / "configs" / "gaussian_collapse.cfg")
+    package_root = str(Path(epblowup.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "epblowup", "constants", config],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert dispatch(["constants", config]) == 0
+    assert proc.stdout == capsys.readouterr().out

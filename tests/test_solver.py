@@ -9,17 +9,17 @@ second order (ratio 4).
 """
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from epblowup import diagnostics, solver
 from epblowup.core import (ModelParams, ProfileSpec, RadialGrid, RadialState,
-                           build_profile)
+                           build_profile, parse_config)
 from epblowup.poisson import solve_potential
-from epblowup.solver import (RunResult, SolverConfig, _minmod, _reconstruct,
-                             run, step)
+from epblowup.solver import (RunResult, SolverConfig, _clean, _minmod,
+                             _reconstruct, run, step)
 from epblowup.constants import build_table
 
 P3 = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
@@ -134,6 +134,53 @@ def ep_ball_run(cells=256):
                        g, params, mode="EP")
     table = build_table(st, g, params, c_hlp=3.0)
     return run(st, g, params, SolverConfig(t_end=1.0)), table
+
+
+def test_clean_makes_vacuum_cells_cold():
+    # cells at or below ten times the floor are vacuum: whatever momentum
+    # and energy they arrive with, they leave at rest on the cold adiabat;
+    # wet cells that already sit above it pass through bit for bit
+    cfg = SolverConfig(t_end=1.0)
+    gamma, floor = P3.gamma, cfg.density_floor
+    rho = np.array([1.0, 0.5, 1e-3, 10.0 * floor, 2.0 * floor, 0.0])
+    mom = np.array([0.3, -0.2, 1e-4, 5.0, -7.0, 1.0])
+    energy = np.where(rho > 10.0 * floor,
+                      0.5 * mom**2 / np.maximum(rho, floor) + rho / (gamma - 1.0),
+                      1e3)
+    U = np.stack((rho, mom, energy))
+    before = U.copy()
+    out = _clean(U, cfg, gamma)
+    e_min = 1e-12 * np.maximum(rho, floor)**gamma / (gamma - 1.0)
+    wet, vacuum = slice(0, 3), slice(3, None)
+    assert out[:, wet].tobytes() == before[:, wet].tobytes()
+    assert (out[1, vacuum] == 0.0).all()
+    assert out[2, vacuum].tobytes() == e_min[vacuum].tobytes()
+
+
+def test_heated_vacuum_does_not_set_the_step():
+    # vacuum cells carrying a million times the gas pressure are cooled
+    # before the signal speed is taken, so the step reads the gas
+    cfg = SolverConfig(t_end=1.0)
+    g, [_, (ball, params)] = cloud_and_ball()
+    vacuum = ball.rho <= 10.0 * cfg.density_floor
+    assert vacuum.any()
+    hot = replace(ball, p=np.where(vacuum, 1e6 * np.max(ball.p), ball.p))
+    _, cold_info = step(ball, g, params, cfg, dt=1.0)
+    _, hot_info = step(hot, g, params, cfg, dt=1.0)
+    assert hot_info["dt_cfl"] == cold_info["dt_cfl"]
+
+
+def test_ball_collapse_step_count(pytestconfig):
+    # the step follows the gas: 1,013 steps at 512 cells, where vacuum
+    # cells heated by the energy flux would set it and take about 10,000
+    setup = parse_config(pytestconfig.rootpath / "configs" / "ball_collapse.cfg")
+    grid = RadialGrid(setup.grid.r_max, 512)
+    setup = replace(setup, grid=grid)
+    result = run(setup.build_state(), grid, setup.params,
+                 SolverConfig(**setup.solver_options))
+    assert result.stop_reason == "gradient-blowup"
+    assert result.steps_taken <= 2000
+    assert abs(result.times[-1] - 0.6048) < 2e-3
 
 
 def test_collapse_stops_on_gradient_blowup():
