@@ -6,14 +6,14 @@ from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
                         InfeasibleExponentError)
 from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
                    RadialGrid, RadialState, RunSetup, TailViolationError,
-                   build_profile, parse_config, parse_config_text)
+                   build_profile, parse_config, parse_config_text,
+                   recover_entropy)
 from .criteria import (NoCrossingError, Verdict, WrongRegimeError, check_all,
                        check_ep_attractive, check_iep_attractive,
                        check_iep_repulsive, lifespan_bound)
-from .diagnostics import (FunctionalSet, NonuniformSpacingError, QuantitySet,
-                          compute_functionals, compute_quantities,
-                          finite_difference_rates, series_csv,
-                          write_series_csv)
+from .diagnostics import (NonuniformSpacingError, QuantitySet,
+                          compute_quantities, finite_difference_rates,
+                          series_csv, write_series_csv)
 from .oracles import (MarginReport, build_corpus, corpus_grid, run_suite,
                       verify_chemin, verify_energy_bounds, verify_hlp,
                       verify_hls, verify_lemma_split)

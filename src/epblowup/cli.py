@@ -96,8 +96,8 @@ def _cmd_simulate(args) -> int:
     state = setup.build_state()
     result = run(state, setup.grid, setup.params, cfg)
     if args.out:
-        write_series_csv(args.out, result.quantities, result.functionals)
-    summary = result.summary(setup.params)
+        write_series_csv(args.out, result.quantities)
+    summary = result.summary()
     summary["csv"] = str(args.out) if args.out else None
     _print_json(summary)
     return 0

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import recover_entropy
+
 __all__ = [
     "InfeasibleExponentError",
     "unit_ball_measure",
@@ -328,9 +330,10 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     omega = unit_ball_measure(n)
     notes: list[str] = []
 
-    if state.entropy is not None:
+    if state.mode == "EP":
         support = state.rho > 1e-12 * float(np.max(state.rho))
-        s1 = float(np.min(state.entropy[support])) if np.any(support) else 0.0
+        s = recover_entropy(state.rho, state.p, params, support)
+        s1 = float(np.min(s[support])) if np.any(support) else 0.0
     else:
         s1 = 0.0  # isentropic closure: exp(s/c_nu) = 1
 

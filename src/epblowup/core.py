@@ -29,6 +29,7 @@ __all__ = [
     "RadialGrid",
     "ShellGeometry",
     "RadialState",
+    "recover_entropy",
     "ProfileSpec",
     "RunSetup",
     "build_profile",
@@ -175,19 +176,18 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialState:
-    """Radial flow snapshot: density, radial velocity, pressure, entropy.
+    """Radial flow snapshot: density, radial velocity, pressure.
 
-    Arrays live on grid centers and are treated as immutable.  The
-    interaction potential is not stored: diagnostics.compute_quantities
-    solves it from rho where the potential energy needs it.  ``entropy``
-    is None in IEP mode (the closure fixes p = rho**gamma).
+    Arrays live on grid centers and are treated as immutable.  Derived
+    fields are not stored: diagnostics.compute_quantities solves the
+    interaction potential from rho, and in EP mode the pressure carries the
+    entropy, which recover_entropy reads back where there is gas.
     """
 
     rho: np.ndarray
     u_r: np.ndarray
     p: np.ndarray
     mode: str
-    entropy: Optional[np.ndarray] = None
     time: float = 0.0
 
     def __post_init__(self):
@@ -197,6 +197,16 @@ class RadialState:
         for name in ("u_r", "p"):
             if len(getattr(self, name)) != m:
                 raise ValueError(f"field {name} length mismatch")
+
+
+def recover_entropy(rho: np.ndarray, p: np.ndarray, params: ModelParams,
+                    gas: np.ndarray) -> np.ndarray:
+    """Specific entropy s = c_nu ln(p / rho**gamma) on the cells where the
+    mask gas is true, 0 elsewhere; only gas cells are divided by."""
+    s = np.zeros(len(rho))
+    s[gas] = params.c_nu * np.log(
+        np.maximum(p[gas], 1e-300) / rho[gas] ** params.gamma)
+    return s
 
 
 @dataclass(frozen=True)
@@ -313,7 +323,7 @@ def build_profile(
                          ("entropy", entropy), ("pressure", p)):
         if values is not None and not np.isfinite(values).all():
             raise ProfileError(f"non-finite {what} in the initial data")
-    return RadialState(rho=rho, u_r=u_r, p=p, mode=mode, entropy=entropy)
+    return RadialState(rho=rho, u_r=u_r, p=p, mode=mode)
 
 
 # ---------------------------------------------------------------------------

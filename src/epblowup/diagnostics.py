@@ -1,6 +1,7 @@
-"""Moment diagnostics: conserved quantities, virial functionals, rates.
+"""Moment diagnostics of a snapshot, their time rates and the CSV layout.
 
-Quantities (all reduced to radial integrals):
+One QuantitySet holds every moment of one snapshot (all reduced to radial
+integrals):
 
     mass            M    = int rho
     momentum_weight F    = int rho u . x  = int rho u_r r
@@ -8,6 +9,9 @@ Quantities (all reduced to radial integrals):
     e_kin                = 1/2 int rho u^2
     e_int                = int p / (gamma - 1)
     e_pot                = -(delta/2) int rho Phi
+    e_total     E_delta  = e_kin + e_int + e_pot
+    h_delta         H    = 2 e_kin + n (gamma - 1) e_int + (n - 2) e_pot
+    j_delta         J    = G - (t+1) F + (t+1)**2 E_delta
 
 The dynamics move these along rigid identities: M is constant, dG/dt = F,
 and dF/dt equals the virial functional H.  The J functional folds the
@@ -34,9 +38,7 @@ from .quadrature import integrate_radial
 __all__ = [
     "NonuniformSpacingError",
     "QuantitySet",
-    "FunctionalSet",
     "compute_quantities",
-    "compute_functionals",
     "finite_difference_rates",
     "series_csv",
     "write_series_csv",
@@ -53,7 +55,8 @@ class NonuniformSpacingError(ValueError):
 
 @dataclass(frozen=True)
 class QuantitySet:
-    """Moment integrals of one snapshot.  Satisfies F**2 <= 4 G E_k."""
+    """Moment integrals, virial functional and energy-moment parabola of one
+    snapshot.  Satisfies F**2 <= 4 G E_k."""
 
     time: float
     mass: float
@@ -64,20 +67,14 @@ class QuantitySet:
     e_pot: float
     e_total: float
     int_rho_phi: float
-
-
-@dataclass(frozen=True)
-class FunctionalSet:
-    """Virial functionals and energy-moment parabolas of one snapshot."""
-
-    time: float
     h_delta: float
     j_delta: float
 
 
 def compute_quantities(state: RadialState, grid: RadialGrid,
                        params: ModelParams) -> QuantitySet:
-    """Evaluate all moment integrals of a snapshot.
+    """Evaluate all moment integrals of a snapshot, the virial functional
+    H and the (t+1)-parabola energy moment J.
 
     The potential energy takes the potential of state.rho from one
     solve_potential call.  Uses the midpoint rule: cell samples are treated
@@ -97,6 +94,10 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     phi = solve_potential(state.rho, grid, n)
     int_rho_phi = integrate_radial(state.rho * phi, grid, n, rule)
     e_pot = -0.5 * delta * int_rho_phi
+    e_total = e_kin + e_int + e_pot
+    h = 2.0 * e_kin + n * (gamma - 1.0) * e_int \
+        - 0.5 * delta * (n - 2.0) * int_rho_phi
+    tau = state.time + 1.0
 
     return QuantitySet(
         time=state.time,
@@ -106,19 +107,11 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
         e_kin=e_kin,
         e_int=e_int,
         e_pot=e_pot,
-        e_total=e_kin + e_int + e_pot,
+        e_total=e_total,
         int_rho_phi=int_rho_phi,
+        h_delta=h,
+        j_delta=half_inertia - tau * momentum_weight + tau**2 * e_total,
     )
-
-
-def compute_functionals(q: QuantitySet, params: ModelParams) -> FunctionalSet:
-    """Virial functionals and the (t+1)-parabola energy moments."""
-    n, gamma, delta = params.n, params.gamma, params.delta
-    h = 2.0 * q.e_kin + n * (gamma - 1.0) * q.e_int \
-        - 0.5 * delta * (n - 2.0) * q.int_rho_phi
-    tau = q.time + 1.0
-    j = q.half_inertia - tau * q.momentum_weight + tau**2 * q.e_total
-    return FunctionalSet(time=q.time, h_delta=h, j_delta=j)
 
 
 def _uniform_dt(times: np.ndarray) -> float:
@@ -138,8 +131,8 @@ def finite_difference_rates(series: Sequence, fields: Optional[Iterable[str]] = 
                             ) -> dict[str, np.ndarray]:
     """Central-difference time derivatives of a uniformly sampled series.
 
-    ``series`` is a sequence of QuantitySet or FunctionalSet (anything with
-    a ``time`` attribute and float fields).  Returns arrays over the
+    ``series`` is a sequence of QuantitySet (or anything with a ``time``
+    attribute and float fields).  Returns arrays over the
     interior sample times under key 't' plus one rate array per field.
     Raises NonuniformSpacingError when the sampling is not uniform.
     """
@@ -158,23 +151,20 @@ def finite_difference_rates(series: Sequence, fields: Optional[Iterable[str]] = 
     return out
 
 
-def series_csv(quantities: Sequence[QuantitySet],
-               functionals: Sequence[FunctionalSet]) -> str:
-    """Render paired series in the fixed, versioned CSV layout."""
-    if len(quantities) != len(functionals):
-        raise ValueError("quantity and functional series must pair up")
+def series_csv(quantities: Sequence[QuantitySet]) -> str:
+    """Render a series in the fixed, versioned CSV layout."""
     buf = io.StringIO()
     buf.write(CSV_VERSION_LINE + "\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
-    for q, f in zip(quantities, functionals):
+    for q in quantities:
         row = (
             q.time, q.mass, q.momentum_weight, q.half_inertia, q.e_kin,
-            q.e_int, q.e_pot, q.e_total, f.h_delta, f.j_delta,
+            q.e_int, q.e_pot, q.e_total, q.h_delta, q.j_delta,
         )
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
 
 
-def write_series_csv(path, quantities, functionals) -> None:
+def write_series_csv(path, quantities) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(series_csv(quantities, functionals))
+        handle.write(series_csv(quantities))

@@ -284,8 +284,11 @@ def build_corpus(randomized: int = 100) -> list[tuple[str, np.ndarray]]:
 
     All entries are nonnegative, not identically zero, and decay below the
     far-field tolerance on the shared corpus grid.  The randomized block is
-    reproducible: a fixed seed feeds a PCG64 generator.
+    reproducible: a fixed seed feeds a PCG64 generator.  A negative
+    randomized count raises ValueError.
     """
+    if randomized < 0:
+        raise ValueError(f"randomized density count must be >= 0, got {randomized}")
     grid = corpus_grid()
     r = grid.centers
     corpus: list[tuple[str, np.ndarray]] = []

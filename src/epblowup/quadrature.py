@@ -39,15 +39,12 @@ def _require_finite(f: np.ndarray):
 
 
 def _simpson_uniform(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson on uniformly spaced samples.
+    """Composite Simpson on at least three uniformly spaced samples.
 
     Even sample counts are handled by closing the final interval with the
     parabola through the last three points.
     """
-    m = len(y)
-    if m < 3:
-        return float(np.trapezoid(y, dx=dx))
-    if m % 2 == 1:
+    if len(y) % 2 == 1:
         core = y
         extra = 0.0
     else:

@@ -33,15 +33,15 @@ step, or when max |d(u_r)/dr| exceeds a thousand times its initial scale
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import ModelParams, RadialGrid, RadialState
-from .diagnostics import (FunctionalSet, QuantitySet, compute_functionals,
-                          compute_quantities, finite_difference_rates,
-                          NonuniformSpacingError)
+from .core import ModelParams, RadialGrid, RadialState, recover_entropy
+from .diagnostics import (QuantitySet, compute_quantities,
+                          finite_difference_rates, NonuniformSpacingError)
 from .poisson import enclosed_weight_force
 
 __all__ = ["SolverConfig", "RunResult", "step", "run"]
@@ -70,23 +70,28 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not (self.density_floor > 0.0):
             raise ValueError("density_floor must be positive")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError("fixed_dt must be positive when given")
+        if not (isinstance(self.output_stride, numbers.Integral)
+                and self.output_stride >= 1):
+            raise ValueError(
+                f"output_stride must be an integer >= 1, got {self.output_stride!r}")
+        if self.fixed_dt is not None and not (0.0 < self.fixed_dt < math.inf):
+            raise ValueError(
+                f"fixed_dt must be positive and finite when given, got {self.fixed_dt}")
 
 
 @dataclass
 class RunResult:
     """Diagnostics series plus how (and when) the run ended.
 
+    quantities holds one QuantitySet per sample, functionals included.
     stop_reason is one of 't_end', 'positivity', 'cfl', 'gradient-blowup'.
     max_grad_u is the largest wet-cell max |d(u_r)/dr| over the samples;
-    min_entropy is the smallest entropy over the samples (None in IEP mode).
+    min_entropy is the smallest entropy over the samples (None in IEP mode),
+    read on cells denser than a thousand times the density floor and taken
+    as 0 on the rest.
     """
 
     quantities: list[QuantitySet]
-    functionals: list[FunctionalSet]
     stop_reason: str
     final_state: RadialState
     steps_taken: int
@@ -97,7 +102,7 @@ class RunResult:
     def times(self) -> np.ndarray:
         return np.array([q.time for q in self.quantities])
 
-    def summary(self, params: ModelParams) -> dict:
+    def summary(self) -> dict:
         qs = self.quantities
         m0 = qs[0].mass
         out = {
@@ -126,7 +131,7 @@ class RunResult:
             rates = finite_difference_rates(qs, ("mass", "half_inertia",
                                                  "momentum_weight"))
             f_mid = np.array([q.momentum_weight for q in qs[1:-1]])
-            virials = np.array([f.h_delta for f in self.functionals[1:-1]])
+            virials = np.array([q.h_delta for q in qs[1:-1]])
             out["residual_dG_dt"] = float(np.max(np.abs(rates["half_inertia"] - f_mid)))
             out["residual_dF_dt"] = float(np.max(np.abs(rates["momentum_weight"] - virials)))
             out["residual_dM_dt"] = float(np.max(np.abs(rates["mass"])))
@@ -258,19 +263,6 @@ def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams,
     return dU, float((np.abs(u) + c).max())
 
 
-def _to_state(U: np.ndarray, params: ModelParams, cfg: SolverConfig,
-              mode: str, t: float) -> RadialState:
-    rho = U[0]
-    u, p, _ = _primitives(U, params.gamma)
-    entropy = None
-    if mode == "EP":
-        # recovered entropy field; only meaningful where there is gas
-        safe = rho > 1e3 * cfg.density_floor
-        ratio = np.where(safe, np.maximum(p, 1e-300) / rho**params.gamma, 1.0)
-        entropy = params.c_nu * np.log(ratio)
-    return RadialState(rho=rho, u_r=u, p=p, mode=mode, entropy=entropy, time=t)
-
-
 def step(state: RadialState, grid: RadialGrid, params: ModelParams,
          cfg: SolverConfig, dt: float) -> tuple[RadialState, dict]:
     """Advance one Heun step of at most dt; returns (new state, info).
@@ -293,7 +285,9 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     dU1, _ = _rhs(U1, grid, params, cfg)
     U2 = _clean(0.5 * (U0 + U1 + dt * dU1), cfg, gamma)
 
-    new = _to_state(U2, params, cfg, state.mode, state.time + dt)
+    u, p, _ = _primitives(U2, gamma)
+    new = RadialState(rho=U2[0], u_r=u, p=p, mode=state.mode,
+                      time=state.time + dt)
     ok = bool(np.isfinite(new.rho).all() and np.isfinite(new.u_r).all()
               and np.isfinite(new.p).all() and (new.p >= 0.0).all())
     return new, {"dt": dt, "dt_cfl": dt_cfl, "positive": ok}
@@ -347,15 +341,16 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         dt_raw = 0.9 * cfg.cfl * grid.dr / max(speed0, 1e-300)
         dt_base = cfg.t_end / max(1, math.ceil(cfg.t_end / dt_raw))
 
-    quantities, functionals, grads, entropies = [], [], [], []
+    quantities, grads, entropies = [], [], []
 
     def sample(s: RadialState, max_grad: float) -> None:
-        q = compute_quantities(s, grid, params)
-        quantities.append(q)
-        functionals.append(compute_functionals(q, params))
+        quantities.append(compute_quantities(s, grid, params))
         grads.append(max_grad)
         if s.mode == "EP":
-            entropies.append(float(np.min(s.entropy)))
+            # the entropy is only meaningful where there is gas
+            gas = s.rho > 1e3 * cfg.density_floor
+            entropies.append(float(np.min(
+                recover_entropy(s.rho, s.p, params, gas))))
 
     sample(state, grad0)
 
@@ -391,7 +386,6 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         sample(current, _max_grad(current, grid, peak0))
     return RunResult(
         quantities=quantities,
-        functionals=functionals,
         stop_reason=stop_reason,
         final_state=current,
         steps_taken=steps,

@@ -113,7 +113,7 @@ def test_criterion_02_virial_rate_convergence(run_fixed_dt_pair):
             result.quantities, fields=("half_inertia", "momentum_weight"))
         f_mid = np.array(
             [q.momentum_weight for q in result.quantities])[1:-1]
-        h_mid = np.array([f.h_delta for f in result.functionals])[1:-1]
+        h_mid = np.array([q.h_delta for q in result.quantities])[1:-1]
         res_g = np.max(np.abs(rates["half_inertia"] - f_mid)) \
             / np.max(np.abs(f_mid))
         res_f = np.max(np.abs(rates["momentum_weight"] - h_mid)) \

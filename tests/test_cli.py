@@ -216,6 +216,7 @@ BAD_INPUTS = [
     ("check", "grid.r_max = inf", []),
     ("simulate", "solver.t_end = inf", []),
     ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),
+    ("verify", "chlp = 3.0", ["--randomized", "-5"]),
 ]
 
 

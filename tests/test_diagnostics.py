@@ -9,7 +9,6 @@ import epblowup.diagnostics as diag
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
 from epblowup.diagnostics import (
     NonuniformSpacingError,
-    compute_functionals,
     compute_quantities,
     finite_difference_rates,
     series_csv,
@@ -59,12 +58,11 @@ def test_cauchy_schwarz_margin_and_equality():
 def test_functional_identities():
     st, g = make_state(velocity_alpha=0.5)
     q = compute_quantities(st, g, P3)
-    f = compute_functionals(q, P3)
     expect = 2.0 * q.e_kin + 3.0 * (P3.gamma - 1.0) * q.e_int \
         - 0.5 * P3.delta * q.int_rho_phi
-    assert f.h_delta == pytest.approx(expect, rel=1e-12)
+    assert q.h_delta == pytest.approx(expect, rel=1e-12)
     # parabola moments at t = 0 (tau = 1)
-    assert f.j_delta == pytest.approx(
+    assert q.j_delta == pytest.approx(
         q.half_inertia - q.momentum_weight + q.e_total, rel=1e-12)
 
 
@@ -77,7 +75,8 @@ def test_rates_recover_polynomial_series():
         qs.append(diag.QuantitySet(
             time=t, mass=1.0, momentum_weight=2.0 + 6.0 * t,
             half_inertia=1.0 + 2.0 * t + 3.0 * t**2,
-            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0))
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0,
+            h_delta=0.0, j_delta=0.0))
     rates = finite_difference_rates(qs, fields=("half_inertia",))
     mid_f = np.array([q.momentum_weight for q in qs[1:-1]])
     assert np.allclose(rates["half_inertia"], mid_f, atol=1e-12)
@@ -89,7 +88,8 @@ def test_rates_reject_ragged_sampling():
     for t in (0.0, 0.1, 0.25):
         qs.append(diag.QuantitySet(
             time=t, mass=1.0, momentum_weight=0.0, half_inertia=0.0,
-            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0))
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0,
+            h_delta=0.0, j_delta=0.0))
     with pytest.raises(NonuniformSpacingError):
         finite_difference_rates(qs)
     with pytest.raises(NonuniformSpacingError):
@@ -99,8 +99,7 @@ def test_rates_reject_ragged_sampling():
 def test_csv_layout_and_roundtrip(tmp_path):
     st, g = make_state(velocity_alpha=0.2, cells=128)
     q = compute_quantities(st, g, P3)
-    f = compute_functionals(q, P3)
-    text = series_csv([q], [f])
+    text = series_csv([q])
     lines = text.strip().split("\n")
     assert lines[0].startswith("#")  # version pin
     assert lines[1].split(",") == list(diag.CSV_COLUMNS)
@@ -108,7 +107,5 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert row[0] == 0.0
     assert row[1] == pytest.approx(q.mass)
     path = tmp_path / "series.csv"
-    write_series_csv(path, [q], [f])
+    write_series_csv(path, [q])
     assert path.read_text() == text
-    with pytest.raises(ValueError):
-        series_csv([q], [])

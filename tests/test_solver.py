@@ -80,7 +80,7 @@ def test_subfloor_velocity_does_not_cap_dt():
     assert r.stop_reason == "t_end"
     dts = np.diff(r.times)
     assert np.max(np.abs(dts - dts[0])) < 1e-12
-    s = r.summary(params)
+    s = r.summary()
     for key in ("residual_dG_dt", "residual_dF_dt", "residual_dM_dt"):
         assert s[key] is not None
 
@@ -101,6 +101,17 @@ def test_run_advances_through_module_step(monkeypatch):
     r = run(st, g, P3, SolverConfig(t_end=0.02))
     assert r.steps_taken > 0
     assert calls == [(RadialState, True)] * r.steps_taken
+
+
+@pytest.mark.parametrize("bad", [{"fixed_dt": math.inf},
+                                 {"fixed_dt": math.nan},
+                                 {"fixed_dt": 0.0},
+                                 {"output_stride": 1.5},
+                                 {"output_stride": 0}])
+def test_solver_config_rejects_bad_values(bad):
+    # an infinite fixed_dt would take one step to t_end with no CFL cap
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SolverConfig(t_end=1.0, **bad)
 
 
 def test_density_floor_guard():
@@ -227,14 +238,14 @@ def test_summary_is_mode_aware():
     g = RadialGrid(8.0, 128)
     st = build_profile(GAUSS, g, P3, mode="IEP")
     r = run(st, g, P3, SolverConfig(t_end=0.02))
-    s = r.summary(P3)
+    s = r.summary()
     assert s["stop_reason"] == "t_end"
     assert s["ie_drift_rel"] is not None
     assert s["ek_ei_drift_rel"] is None
     assert s["mass_drift_rel"] < 1e-10
 
     result, _ = ep_ball_run(cells=128)
-    s2 = result.summary(P3)
+    s2 = result.summary()
     assert s2["ie_drift_rel"] is None
     assert s2["ek_ei_drift_rel"] is not None
 
@@ -247,7 +258,7 @@ def test_monitor_fields():
     assert result.steps_taken > 0
     assert result.max_grad_u > 0.0
     assert math.isfinite(result.min_entropy)
-    s = result.summary(P3)
+    s = result.summary()
     assert s["max_grad_u"] == result.max_grad_u
     assert s["min_entropy"] == result.min_entropy
 
@@ -256,7 +267,7 @@ def test_monitor_fields():
     iep = run(st, g, P3, SolverConfig(t_end=0.02))
     assert iep.max_grad_u > 0.0
     assert iep.min_entropy is None
-    assert "min_entropy" not in iep.summary(P3)
+    assert "min_entropy" not in iep.summary()
 
 
 def cloud_and_ball():
