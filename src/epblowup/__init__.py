@@ -2,12 +2,11 @@
 
 from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
                         interaction_split_constant, mass_bound_constants,
-                        minimize_hls, unit_ball_measure,
-                        InfeasibleExponentError)
+                        minimize_hls, InfeasibleExponentError)
 from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
                    RadialGrid, RadialState, RunSetup, TailViolationError,
                    build_profile, parse_config, parse_config_text,
-                   recover_entropy)
+                   recover_entropy, unit_ball_measure)
 from .criteria import (NoCrossingError, Verdict, WrongRegimeError, check_all,
                        check_ep_attractive, check_iep_attractive,
                        check_iep_repulsive, lifespan_bound)

@@ -15,8 +15,8 @@ import json
 import sys
 
 from .constants import build_table
-from .core import ConfigError, ProfileError, RadialGrid, RunSetup, parse_config
-from .criteria import WrongRegimeError, check_all
+from .core import ConfigError, RadialGrid, RunSetup, parse_config
+from .criteria import check_all
 from .diagnostics import write_series_csv
 from .oracles import run_suite, verify_energy_bounds
 from .solver import SolverConfig, run
@@ -44,13 +44,7 @@ def _print_json(payload) -> None:
 def _cmd_constants(args) -> int:
     setup = parse_config(args.config)
     _, table = _prepared_table(setup)
-    payload = table.to_json_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True,
-                      default=_jsonable)
-            handle.write("\n")
-    _print_json(payload)
+    _print_json(table.to_json_dict())
     return 0
 
 
@@ -62,7 +56,7 @@ def _cmd_check(args) -> int:
         "config": str(args.config),
         "mode": table.mode,
         "delta": table.delta,
-        "verdicts": [v.to_json_dict() for v in verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in verdicts],
     }
     _print_json(payload)
     for v in verdicts:
@@ -77,10 +71,8 @@ def _cmd_check(args) -> int:
 
 def _solver_config(setup: RunSetup, args) -> SolverConfig:
     opts = dict(setup.solver_options)
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         opts["t_end"] = args.t_end
-    if getattr(args, "cfl", None) is not None:
-        opts["cfl"] = args.cfl
     if "t_end" not in opts:
         raise ConfigError("no t_end: set solver.t_end in the config "
                           "or pass --t-end")
@@ -127,8 +119,7 @@ def _cmd_verify(args) -> int:
         else:
             report = run_suite(suite, setup.params, c_hlp=setup.chlp,
                                randomized=args.randomized)
-            if not args.full:
-                report.pop("reports")
+            report.pop("reports")
             payload["suites"][suite] = report
             ok = ok and report["worst_rel_margin"] >= -1e-8
     payload["all_margins_nonnegative"] = ok
@@ -146,7 +137,6 @@ def dispatch(argv) -> int:
 
     p_const = sub.add_parser("constants", help="print the certificate constants table")
     p_const.add_argument("config")
-    p_const.add_argument("--out", help="also write the JSON table to a file")
     p_const.set_defaults(fn=_cmd_constants)
 
     p_check = sub.add_parser("check", help="evaluate blow-up certificates")
@@ -157,7 +147,6 @@ def dispatch(argv) -> int:
     p_sim.add_argument("config")
     p_sim.add_argument("--t-end", type=float, dest="t_end")
     p_sim.add_argument("--cells", type=int)
-    p_sim.add_argument("--cfl", type=float)
     p_sim.add_argument("--out", help="CSV path for the diagnostics series")
     p_sim.set_defaults(fn=_cmd_simulate)
 
@@ -167,18 +156,14 @@ def dispatch(argv) -> int:
                        choices=["hls", "hlp", "chemin", "split", "bounds", "all"])
     p_ver.add_argument("--randomized", type=int, default=100,
                        help="number of randomized corpus densities")
-    p_ver.add_argument("--full", action="store_true",
-                       help="include every per-density report in the JSON")
     p_ver.add_argument("--t-end", type=float, dest="t_end",
                        help="horizon for the bounds suite")
-    p_ver.add_argument("--cfl", type=float)
     p_ver.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ProfileError, WrongRegimeError, FileNotFoundError,
-            IsADirectoryError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,7 +1,7 @@
 """Closed-form constants behind the blow-up certificates.
 
 This module evaluates every constant that the certificate checks consume:
-unit-ball measures, the convolution-inequality constant and its minimizer
+the convolution-inequality constant and its minimizer
 over the admissible exponent curve, the mass lower-bound constant, the
 interaction-splitting constants, and the full per-configuration table
 C0..C11 assembled from initial data.
@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import recover_entropy
+from .core import recover_entropy, unit_ball_measure
+from .diagnostics import compute_quantities
 
 __all__ = [
     "InfeasibleExponentError",
-    "unit_ball_measure",
     "hls_constant",
     "hls_exponent_window",
     "minimize_hls",
@@ -34,18 +34,6 @@ __all__ = [
 
 class InfeasibleExponentError(ValueError):
     """No admissible exponent pair exists for the requested (n, gamma)."""
-
-
-# --------------------------------------------------------------------------
-# Ball measures
-# --------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def unit_ball_measure(n: int) -> float:
-    """Volume of the unit ball in R^n: pi**(n/2) / Gamma(n/2 + 1)."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -322,9 +310,6 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     The moment integrals, the potential energy among them, come from one
     diagnostics.compute_quantities call (midpoint rule).
     """
-    # local import: diagnostics sits above quadrature which needs this module
-    from .diagnostics import compute_quantities
-
     q = compute_quantities(state, grid, params)
     n, gamma = params.n, params.gamma
     omega = unit_ball_measure(n)

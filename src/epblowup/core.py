@@ -15,6 +15,7 @@ The gas can be evolved in two closures:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "TailViolationError",
     "ModelParams",
     "RadialGrid",
+    "unit_ball_measure",
     "ShellGeometry",
     "RadialState",
     "recover_entropy",
@@ -35,13 +37,13 @@ __all__ = [
     "build_profile",
     "parse_config",
     "parse_config_text",
-    "DEFAULT_TAIL_TOL",
     "TAIL_FRACTION",
 ]
 
-# Fraction of the outermost cells inspected by the far-field decay check.
+# The far-field decay check: the density over this fraction of the
+# outermost cells must stay within _TAIL_TOL of its peak.
 TAIL_FRACTION = 0.05
-DEFAULT_TAIL_TOL = 1e-6
+_TAIL_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -67,14 +69,13 @@ class ModelParams:
     """Dimension, adiabatic index and force sign of the gas model.
 
     n must be an integer >= 3 (the interaction kernel -|x|**(2-n) is only
-    meaningful there), gamma > 1, delta in {-1, +1}.  R is the gas constant
-    entering c_nu = R / (gamma - 1).
+    meaningful there), gamma > 1, delta in {-1, +1}.  Entropy is measured
+    in units of the gas constant, so c_nu = 1 / (gamma - 1).
     """
 
     n: int
     gamma: float
     delta: int
-    R: float = 1.0
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -83,12 +84,18 @@ class ModelParams:
             raise ValueError(f"adiabatic index gamma must exceed 1, got {self.gamma}")
         if self.delta not in (-1, 1):
             raise ValueError(f"force sign delta must be -1 or +1, got {self.delta}")
-        if not (self.R > 0.0):
-            raise ValueError(f"gas constant R must be positive, got {self.R}")
 
     @property
     def c_nu(self) -> float:
-        return self.R / (self.gamma - 1.0)
+        return 1.0 / (self.gamma - 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_ball_measure(n: int) -> float:
+    """Volume of the unit ball in R^n: pi**(n/2) / Gamma(n/2 + 1)."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n}")
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +238,6 @@ class ProfileSpec:
     table_rho: Optional[Sequence[float]] = None
     table_u: Optional[Sequence[float]] = None
     table_s: Optional[Sequence[float]] = None
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "ball", "tabulated"):
@@ -240,9 +246,6 @@ class ProfileSpec:
             raise ProfileError(f"unknown velocity kind {self.velocity_kind!r}")
         if self.kind != "tabulated" and not (self.amplitude > 0.0):
             raise ProfileError(f"amplitude must be positive, got {self.amplitude}")
-        if not (0.0 < self.tail_tol < math.inf):
-            raise ProfileError(
-                f"tail_tol must be positive and finite, got {self.tail_tol}")
 
 
 def _interp_table(r: np.ndarray, xs, ys, what: str) -> np.ndarray:
@@ -270,7 +273,7 @@ def build_profile(
     In IEP mode the pressure is rho**gamma and the entropy law is ignored.
     In EP mode p = exp(s / c_nu) * rho**gamma with s from the spec.
     Raises TailViolationError when the density has not decayed to
-    tail_tol * max(rho) over the outermost cells, and ProfileError when
+    1e-6 * max(rho) over the outermost cells, and ProfileError when
     the sampled density is identically zero or any sampled field is not
     finite.
     """
@@ -294,9 +297,9 @@ def build_profile(
     # the potential truncates the far field at r_max, which is only valid
     # for a decayed density
     ratio = float(np.max(rho[grid.tail_slice()])) / float(np.max(rho))
-    if ratio > spec.tail_tol:
+    if ratio > _TAIL_TOL:
         raise TailViolationError(
-            f"density tail ratio {ratio:.3e} exceeds {spec.tail_tol:.1e}; "
+            f"density tail ratio {ratio:.3e} exceeds {_TAIL_TOL:.1e}; "
             f"enlarge r_max or tighten the profile"
         )
 
@@ -339,15 +342,14 @@ def build_profile(
 #   velocity.alpha       slope for the linear law
 #   entropy.s0           constant entropy level (EP mode)
 #   table.r/.rho/.u/.s   comma-separated tables for tabulated laws
-#   tail_tol             far-field decay tolerance
 #   grid.r_max, grid.cells
-#   model.n, model.gamma, model.delta, model.R
+#   model.n, model.gamma, model.delta
 #   chlp                 Fourier-inequality constant, positive
 #   solver.cfl, solver.t_end, solver.output_stride, solver.density_floor
 
 _FLOAT_KEYS = {
     "amplitude", "width", "radius", "velocity.alpha", "entropy.s0",
-    "tail_tol", "grid.r_max", "model.gamma", "model.R", "chlp",
+    "grid.r_max", "model.gamma", "chlp",
     "solver.cfl", "solver.t_end", "solver.density_floor",
 }
 _INT_KEYS = {"grid.cells", "model.n", "model.delta", "solver.output_stride"}
@@ -421,7 +423,6 @@ def parse_config_text(text: str) -> RunSetup:
             n=values["model.n"],
             gamma=values["model.gamma"],
             delta=values["model.delta"],
-            R=values.get("model.R", 1.0),
         )
         grid = RadialGrid(values["grid.r_max"], values["grid.cells"])
         spec = ProfileSpec(
@@ -436,7 +437,6 @@ def parse_config_text(text: str) -> RunSetup:
             table_rho=values.get("table.rho"),
             table_u=values.get("table.u"),
             table_s=values.get("table.s"),
-            tail_tol=values.get("tail_tol", DEFAULT_TAIL_TOL),
         )
     except (ValueError, ProfileError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -62,15 +62,6 @@ class Verdict:
     lifespan: Optional[float] = None
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "certificate": self.certificate,
-            "applicable": self.applicable,
-            "satisfied": self.satisfied,
-            "lifespan": self.lifespan,
-            "details": self.details,
-        }
-
 
 def _zero_scale(table: ConstantsTable) -> float:
     c2 = table.c2 if table.c2 is not None else 0.0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,23 +127,17 @@ def _uniform_dt(times: np.ndarray) -> float:
     return dt
 
 
-def finite_difference_rates(series: Sequence, fields: Optional[Iterable[str]] = None
+def finite_difference_rates(series: Sequence, fields: Iterable[str]
                             ) -> dict[str, np.ndarray]:
     """Central-difference time derivatives of a uniformly sampled series.
 
     ``series`` is a sequence of QuantitySet (or anything with a ``time``
-    attribute and float fields).  Returns arrays over the
+    attribute and the named float fields).  Returns arrays over the
     interior sample times under key 't' plus one rate array per field.
     Raises NonuniformSpacingError when the sampling is not uniform.
     """
     times = np.array([s.time for s in series], dtype=float)
     dt = _uniform_dt(times)
-    if fields is None:
-        first = series[0]
-        fields = [
-            name for name in vars(first)
-            if name != "time" and isinstance(getattr(first, name), float)
-        ]
     out: dict[str, np.ndarray] = {"t": times[1:-1]}
     for name in fields:
         vals = np.array([getattr(s, name) for s in series], dtype=float)

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .constants import (chemin_c8, interaction_split_constant,
-                        mass_bound_constants, minimize_hls, hls_constant,
-                        ConstantsTable)
+                        mass_bound_constants, minimize_hls, ConstantsTable)
 from .core import ModelParams, RadialGrid
 from .diagnostics import QuantitySet
 from .quadrature import integrate_radial, interaction_integral
@@ -74,20 +72,16 @@ def _norm_gamma(rho: np.ndarray, grid: RadialGrid, n: int, gamma: float) -> floa
 
 
 def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
-               p: Optional[float] = None, q: Optional[float] = None,
                label: str = "") -> MarginReport:
     """Interaction energy against the convolution bound.
 
         int int rho rho |x-y|**(2-n) <= C(p, q) M**(2-theta) ||rho||_gamma**theta
 
-    With p, q omitted the constant is minimized over the admissible curve.
+    with the constant minimized over the admissible exponent curve.
     """
     n, gamma = params.n, params.gamma
     theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
-    if p is None or q is None:
-        p, q, c_val = minimize_hls(n, gamma)
-    else:
-        c_val = hls_constant(p, q, float(n - 2), n)
+    p, q, c_val = minimize_hls(n, gamma)
     lhs = interaction_integral(rho, grid, n)
     mass = integrate_radial(rho, grid, n)
     rhs = c_val * mass ** (2.0 - theta) * _norm_gamma(rho, grid, n, gamma) ** theta

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import unit_ball_measure
-from .core import RadialGrid, ShellGeometry
+from .core import RadialGrid, ShellGeometry, unit_ball_measure
 
 __all__ = [
     "GridMismatchError",

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import unit_ball_measure
-from .core import RadialGrid
+from .core import RadialGrid, unit_ball_measure
 
 __all__ = [
     "NonFiniteSampleError",

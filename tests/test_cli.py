@@ -42,18 +42,15 @@ def run_json(capsys, argv):
     return code, json.loads(captured.out), captured.err
 
 
-def test_constants_prints_table(gauss_cfg, capsys, tmp_path):
-    out = tmp_path / "table.json"
-    code, payload, _ = run_json(
-        capsys, ["constants", gauss_cfg, "--out", str(out)])
+def test_constants_prints_table(gauss_cfg, capsys):
+    code, payload, _ = run_json(capsys, ["constants", gauss_cfg])
     assert code == 0
     for key in ("C0", "C3", "C10", "C11", "C_HLP", "f0", "g0", "notes"):
         assert key in payload
     assert payload["mode"] == "IEP"
-    assert json.loads(out.read_text()) == payload
 
 
-def test_constants_env_override(tmp_path, capsys, monkeypatch):
+def test_constants_ignore_ep_chlp(tmp_path, capsys, monkeypatch):
     # the config is the only source of chlp: EP_CHLP, once an override,
     # neither changes C_HLP nor fails the run when it is not a number
     path = tmp_path / "chlp.cfg"
@@ -123,7 +120,7 @@ def test_verify_single_suite(gauss_cfg, capsys):
     assert payload["all_margins_nonnegative"] is True
     suite = payload["suites"]["chemin"]
     assert suite["worst_rel_margin"] >= -1e-8
-    assert "reports" not in suite  # trimmed without --full
+    assert "reports" not in suite  # per-density reports stay in run_suite
 
 
 def test_verify_bounds_suite(gauss_cfg, capsys):
@@ -142,16 +139,14 @@ WIDE_CFG = GAUSS_CFG.replace("width = 1.0", "width = 2.5")
                                   ["verify", "--suite", "bounds",
                                    "--t-end", "0.02"]])
 def test_config_tail_tol_governs_every_command(argv, tmp_path, capsys):
-    # a width-2.5 gaussian leaves a tail ratio near 1e-4 at r_max = 8:
-    # fine under the config's tail_tol, too much for the default 1e-6
-    loose = tmp_path / "loose.cfg"
-    loose.write_text(WIDE_CFG + "tail_tol = 1e-3\n")
-    assert dispatch(argv[:1] + [str(loose)] + argv[1:]) in (0, 1)
-    assert capsys.readouterr().out
-    default = tmp_path / "default.cfg"
-    default.write_text(WIDE_CFG)
-    assert dispatch(argv[:1] + [str(default)] + argv[1:]) == 2
-    assert "tail ratio" in capsys.readouterr().err
+    # a width-2.5 gaussian leaves a tail ratio near 1e-4 at r_max = 8,
+    # above the fixed tail tolerance of 1e-6
+    path = tmp_path / "wide.cfg"
+    path.write_text(WIDE_CFG)
+    assert dispatch(argv[:1] + [str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail ratio" in captured.err
 
 
 NONFINITE_CFGS = {
@@ -199,6 +194,35 @@ def test_usage_errors_exit_two(gauss_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "{cfg}", "--out", "table.json"],
+    ["simulate", "{cfg}", "--cfl", "0.2"],
+    ["verify", "{cfg}", "--cfl", "0.2"],
+    ["verify", "{cfg}", "--full"],
+])
+def test_removed_flags_exit_two(argv, gauss_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([arg.format(cfg=gauss_cfg) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + argv[2] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{cfg}/x.cfg"],
+    ["constants", "{cfg}/x.cfg"],
+    ["simulate", "{cfg}", "--out", "{cfg}/x.csv"],
+])
+def test_path_through_a_file_exits_two(argv, gauss_cfg, capsys):
+    # a path whose parent is a regular file raises NotADirectoryError
+    code = dispatch([arg.format(cfg=gauss_cfg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def with_line(line):
     # GAUSS_CFG with `line` in place of any line that sets the same key
     key = line.split("=")[0].strip()
@@ -211,8 +235,10 @@ BAD_INPUTS = [
     ("check", "chlp = -3.0", []),
     ("check", "chlp = nan", []),
     ("check", "model.gamma = inf", []),
-    ("check", "model.R = inf", []),
-    ("check", "tail_tol = nan", []),
+    # not config keys: entropy is in units of the gas constant, and the
+    # tail tolerance is fixed
+    ("check", "model.R = 1.0", []),
+    ("check", "tail_tol = 1e-3", []),
     ("check", "grid.r_max = inf", []),
     ("simulate", "solver.t_end = inf", []),
     ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),

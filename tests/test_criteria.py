@@ -5,6 +5,7 @@ exactly; solver-backed tables are exercised in the acceptance module.
 """
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -189,7 +190,7 @@ def test_lifespan_validation():
 def test_verdict_json_contract():
     v = Verdict(certificate="2.1i", applicable=True, satisfied=False,
                 details={"C3": 1.0})
-    d = v.to_json_dict()
+    d = asdict(v)
     assert d == {"certificate": "2.1i", "applicable": True,
                  "satisfied": False, "lifespan": None,
                  "details": {"C3": 1.0}}

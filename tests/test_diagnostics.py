@@ -91,9 +91,9 @@ def test_rates_reject_ragged_sampling():
             e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0,
             h_delta=0.0, j_delta=0.0))
     with pytest.raises(NonuniformSpacingError):
-        finite_difference_rates(qs)
+        finite_difference_rates(qs, ("mass",))
     with pytest.raises(NonuniformSpacingError):
-        finite_difference_rates(qs[:2])
+        finite_difference_rates(qs[:2], ("mass",))
 
 
 def test_csv_layout_and_roundtrip(tmp_path):
