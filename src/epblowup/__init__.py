@@ -3,7 +3,8 @@
 from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
                         interaction_split_constant, mass_bound_constants,
                         minimize_hls, InfeasibleExponentError)
-from .core import (ConfigError, ModelParams, ProfileError, ProfileSpec,
+from .core import (ConfigError, GridMismatchError, ModelParams,
+                   NonFiniteSampleError, ProfileError, ProfileSpec,
                    RadialGrid, RadialState, RunSetup, TailViolationError,
                    build_profile, parse_config, parse_config_text,
                    recover_entropy, unit_ball_measure)
@@ -16,10 +17,9 @@ from .diagnostics import (NonuniformSpacingError, QuantitySet,
 from .oracles import (MarginReport, build_corpus, corpus_grid, run_suite,
                       verify_chemin, verify_energy_bounds, verify_hlp,
                       verify_hls, verify_lemma_split)
-from .poisson import (GridMismatchError, enclosed_weight_force,
-                      laplacian_residual, solve_potential)
-from .quadrature import (NonFiniteSampleError, integrate_radial,
-                         interaction_integral)
+from .poisson import (enclosed_weight_force, laplacian_residual,
+                      solve_potential)
+from .quadrature import integrate_radial, interaction_integral
 from .solver import RunResult, SolverConfig, run, step
 
 __version__ = "0.1.0"

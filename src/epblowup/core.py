@@ -3,7 +3,8 @@
 Everything downstream operates on radially symmetric fields sampled at the
 centers of a uniform grid on [0, r_max].  Integrals over R^n reduce exactly
 to one-dimensional radial integrals, so no n-dimensional mesh is ever built.
-The gas can be evolved in two closures:
+RadialGrid.check_profile is the one check on such samples; it raises
+GridMismatchError or NonFiniteSampleError.  The gas has two closures:
 
 * ``EP``  -- full compressible flow with an energy equation; the pressure is
   tied to a specific entropy field s through p = exp(s / c_nu) * rho**gamma.
@@ -24,6 +25,8 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "GridMismatchError",
+    "NonFiniteSampleError",
     "ProfileError",
     "TailViolationError",
     "ModelParams",
@@ -58,6 +61,14 @@ class ConfigError(ValueError):
 
 class ProfileError(ValueError):
     """Initial data that violates a structural requirement."""
+
+
+class GridMismatchError(ValueError):
+    """Profile and grid disagree on the number of cells."""
+
+
+class NonFiniteSampleError(ValueError):
+    """Profile contains NaN or Inf samples."""
 
 
 class TailViolationError(ProfileError):
@@ -175,6 +186,17 @@ class RadialGrid:
     def shell_weights(self, n: int) -> np.ndarray:
         """Exact radial measure of each cell, (r_out**n - r_in**n) / n (read-only)."""
         return self.geometry(n).weights
+
+    def check_profile(self, f, what: str = "profile") -> np.ndarray:
+        """f as floats, once its last axis holds one sample per cell (leading
+        axes stack profiles) and every sample is finite."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim == 0 or f.shape[-1] != self.cells:
+            raise GridMismatchError(
+                f"{what} has shape {f.shape} but grid has {self.cells} cells")
+        if not np.isfinite(f).all():
+            raise NonFiniteSampleError(f"{what} contains non-finite samples")
+        return f
 
     def tail_slice(self) -> slice:
         k = max(1, int(math.ceil(TAIL_FRACTION * self.cells)))
@@ -345,12 +367,12 @@ def build_profile(
 #   grid.r_max, grid.cells
 #   model.n, model.gamma, model.delta
 #   chlp                 Fourier-inequality constant, positive
-#   solver.cfl, solver.t_end, solver.output_stride, solver.density_floor
+#   solver.cfl, solver.t_end, solver.output_stride
 
 _FLOAT_KEYS = {
     "amplitude", "width", "radius", "velocity.alpha", "entropy.s0",
     "grid.r_max", "model.gamma", "chlp",
-    "solver.cfl", "solver.t_end", "solver.density_floor",
+    "solver.cfl", "solver.t_end",
 }
 _INT_KEYS = {"grid.cells", "model.n", "model.delta", "solver.output_stride"}
 _STR_KEYS = {"mode", "kind", "velocity.kind"}

@@ -77,22 +77,24 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     H and the (t+1)-parabola energy moment J.
 
     The potential energy takes the potential of state.rho from one
-    solve_potential call.  Uses the midpoint rule: cell samples are treated
-    as shell averages, which matches the finite-volume data model (cell
-    mass is reproduced exactly) and keeps discontinuous profiles like
-    uniform balls at full accuracy.
+    solve_potential call, and the six integrals are one integrate_radial
+    call on their stacked integrands.  Uses the midpoint rule: cell samples
+    are treated as shell averages, which matches the finite-volume data
+    model (cell mass is reproduced exactly) and keeps discontinuous
+    profiles like uniform balls at full accuracy.
     """
     n, gamma, delta = params.n, params.gamma, params.delta
     r = grid.centers
+    rho, u = state.rho, state.u_r
 
-    rule = "midpoint"
-    mass = integrate_radial(state.rho, grid, n, rule)
-    momentum_weight = integrate_radial(state.rho * state.u_r * r, grid, n, rule)
-    half_inertia = 0.5 * integrate_radial(state.rho * r**2, grid, n, rule)
-    e_kin = 0.5 * integrate_radial(state.rho * state.u_r**2, grid, n, rule)
-    e_int = integrate_radial(state.p, grid, n, rule) / (gamma - 1.0)
-    phi = solve_potential(state.rho, grid, n)
-    int_rho_phi = integrate_radial(state.rho * phi, grid, n, rule)
+    phi = solve_potential(rho, grid, n)
+    integrands = np.stack((rho, rho * u * r, rho * r**2, rho * u**2, state.p,
+                           rho * phi))
+    mass, momentum_weight, inertia, twice_e_kin, pressure_int, int_rho_phi = \
+        integrate_radial(integrands, grid, n, "midpoint").tolist()
+    half_inertia = 0.5 * inertia
+    e_kin = 0.5 * twice_e_kin
+    e_int = pressure_int / (gamma - 1.0)
     e_pot = -0.5 * delta * int_rho_phi
     e_total = e_kin + e_int + e_pot
     h = 2.0 * e_kin + n * (gamma - 1.0) * e_int \

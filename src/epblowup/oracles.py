@@ -67,10 +67,6 @@ class MarginReport:
         }
 
 
-def _norm_gamma(rho: np.ndarray, grid: RadialGrid, n: int, gamma: float) -> float:
-    return integrate_radial(rho**gamma, grid, n) ** (1.0 / gamma)
-
-
 def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
                label: str = "") -> MarginReport:
     """Interaction energy against the convolution bound.
@@ -83,8 +79,8 @@ def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
     theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
     p, q, c_val = minimize_hls(n, gamma)
     lhs = interaction_integral(rho, grid, n)
-    mass = integrate_radial(rho, grid, n)
-    rhs = c_val * mass ** (2.0 - theta) * _norm_gamma(rho, grid, n, gamma) ** theta
+    mass, gamma_int = integrate_radial(np.stack((rho, rho**gamma)), grid, n).tolist()
+    rhs = c_val * mass ** (2.0 - theta) * (gamma_int ** (1.0 / gamma)) ** theta
     return MarginReport(
         name=f"hls{':' + label if label else ''}",
         lhs=lhs, rhs=rhs,
@@ -105,20 +101,16 @@ def radial_fourier(f: np.ndarray, grid: RadialGrid, k: np.ndarray) -> np.ndarray
     f is one profile, shape (N,), or a stack of m profiles, shape (m, N);
     the result has shape (K,) or (m, K), one row per profile.  The
     len(k) x N sine matrix is built once per call, so transforming a stack
-    costs one matrix product instead of m.
+    costs one matrix product instead of m.  Every frequency must be
+    positive; ValueError otherwise.
     """
-    r = grid.centers
+    f = grid.check_profile(f)
     k = np.asarray(k, dtype=float)
+    if not (k > 0.0).all():
+        raise ValueError("radial_fourier needs frequencies k > 0")
+    r = grid.centers
     phase = np.sin(2.0 * math.pi * np.outer(k, r))
-    integral = (r * f) @ phase.T * grid.dr
-    # at k = 0 the kernel limit is 4 pi r^2, i.e. the plain radial integral
-    zero = k == 0.0
-    safe_k = np.where(zero, 1.0, k)
-    out = 2.0 * integral / safe_k
-    if np.any(zero):
-        mass = 4.0 * math.pi * np.sum(r**2 * f, axis=-1, keepdims=True) * grid.dr
-        out = np.where(zero, mass, out)
-    return out
+    return 2.0 * ((r * f) @ phase.T * grid.dr) / k
 
 
 def _hlp_report(f: np.ndarray, transform: np.ndarray, grid: RadialGrid,
@@ -151,7 +143,6 @@ def verify_hlp(f: np.ndarray, grid: RadialGrid, p: float, c_hlp: float = 1.0,
     At p = 2 the ratio is 1 by Plancherel, which doubles as a quality gate
     for the transform discretization.
     """
-    f = np.asarray(f, dtype=float)
     k_grid = RadialGrid(_K_MAX, _K_CELLS)
     transform = radial_fourier(f, grid, k_grid.centers)
     return _hlp_report(f, transform, grid, k_grid, p, c_hlp, label)
@@ -169,9 +160,9 @@ def verify_chemin(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
     """
     n, gamma = params.n, params.gamma
     d_exp = (n + 2.0) * gamma - n
-    mass = integrate_radial(rho, grid, n)
-    norm_g = _norm_gamma(rho, grid, n, gamma)
-    inertia2 = integrate_radial(rho * grid.centers**2, grid, n)
+    mass, gamma_int, inertia2 = integrate_radial(
+        np.stack((rho, rho**gamma, rho * grid.centers**2)), grid, n).tolist()
+    norm_g = gamma_int ** (1.0 / gamma)
     c8 = chemin_c8(n, gamma)
     rhs = c8 * norm_g ** (2.0 * gamma / d_exp) * inertia2 ** (n * (gamma - 1.0) / d_exp)
 
@@ -205,8 +196,8 @@ def verify_lemma_split(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
     """
     n, gamma = params.n, params.gamma
     lhs = interaction_integral(rho, grid, n)
-    mass = integrate_radial(rho, grid, n)
-    pressure_int = integrate_radial(rho**gamma, grid, n) / (gamma - 1.0)
+    mass, gamma_int = integrate_radial(np.stack((rho, rho**gamma)), grid, n).tolist()
+    pressure_int = gamma_int / (gamma - 1.0)
     c_eps, branch = interaction_split_constant(n, gamma, mass, c_hlp, epsilon)
     rhs = epsilon * pressure_int + c_eps
     return MarginReport(

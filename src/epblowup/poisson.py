@@ -9,6 +9,8 @@ convolution to two one-dimensional cumulative integrals,
                           + int_r^rmax s rho(s) ds ].
 
 Phi satisfies  Lap(Phi) = n (n-2) omega_n rho  and is <= 0 for rho >= 0.
+Every profile passes RadialGrid.check_profile (GridMismatchError,
+NonFiniteSampleError).
 """
 
 from __future__ import annotations
@@ -18,26 +20,10 @@ import numpy as np
 from .core import RadialGrid, ShellGeometry, unit_ball_measure
 
 __all__ = [
-    "GridMismatchError",
     "solve_potential",
     "enclosed_weight_force",
     "laplacian_residual",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Profile and grid disagree on the number of cells."""
-
-
-def _check(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if len(rho) != grid.cells:
-        raise GridMismatchError(
-            f"profile has {len(rho)} samples but grid has {grid.cells} cells"
-        )
-    if not np.isfinite(rho).all():
-        raise ValueError("density contains non-finite samples")
-    return rho
 
 
 def _inner_moment(rho: np.ndarray, geo: ShellGeometry, n: int) -> np.ndarray:
@@ -55,7 +41,7 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     truncation at r_max is only valid for decayed densities; build_profile
     holds initial data to that, and this function does not check it.
     """
-    rho = _check(rho, grid)
+    rho = grid.check_profile(rho, "density")
     geo = grid.geometry(n)
     inner = _inner_moment(rho, geo, n)
 
@@ -80,7 +66,7 @@ def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarr
     order at a density jump, and exact to roundoff on a uniform ball whose
     edge is a cell edge.
     """
-    rho = _check(rho, grid)
+    rho = grid.check_profile(rho, "density")
     inner = _inner_moment(rho, grid.geometry(n), n)
     return n * (n - 2.0) * unit_ball_measure(n) * inner / grid.centers ** (n - 1.0)
 
@@ -101,12 +87,8 @@ def laplacian_residual(rho: np.ndarray, phi: np.ndarray, grid: RadialGrid,
     excluded (the outer one sees the truncated far field, the inner one has
     no inward neighbor).
     """
-    rho = _check(rho, grid)
-    phi = np.asarray(phi, dtype=float)
-    if len(phi) != grid.cells:
-        raise GridMismatchError(
-            f"potential has {len(phi)} samples but grid has {grid.cells} cells"
-        )
+    rho = grid.check_profile(rho, "density")
+    phi = grid.check_profile(phi, "potential")
     source = n * (n - 2.0) * unit_ball_measure(n)
     geo = grid.geometry(n)
     faces = geo.areas[1:-1]                      # interior faces only

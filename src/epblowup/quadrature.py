@@ -13,6 +13,8 @@ max(r, s)**(2-n), so a double radial sum with that kernel is exact in the
 angular variables and only the radial discretization error remains.  Because
 the cell centers are sorted, max(r_i, r_j) = r_i for every j < i, and the
 double sum folds into one prefix sum over the cells (see interaction_integral).
+integrate_radial also takes a stack of profiles (last axis = cells).  Every
+profile passes RadialGrid.check_profile (GridMismatchError, NonFiniteSampleError).
 """
 
 from __future__ import annotations
@@ -22,39 +24,36 @@ import numpy as np
 from .core import RadialGrid, unit_ball_measure
 
 __all__ = [
-    "NonFiniteSampleError",
     "integrate_radial",
     "interaction_integral",
 ]
 
 
-class NonFiniteSampleError(ValueError):
-    """Profile handed to a quadrature rule contains NaN or Inf."""
-
-
-def _require_finite(f: np.ndarray):
-    if not np.isfinite(f).all():
-        raise NonFiniteSampleError("profile contains non-finite samples")
-
-
-def _simpson_uniform(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson on at least three uniformly spaced samples.
+def _simpson_uniform(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson along the last axis, on at least three uniformly
+    spaced samples.
 
     Even sample counts are handled by closing the final interval with the
     parabola through the last three points.
     """
-    if len(y) % 2 == 1:
+    if y.shape[-1] % 2 == 1:
         core = y
         extra = 0.0
     else:
-        core = y[:-1]
-        extra = dx * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
-    s = core[0] + core[-1] + 4.0 * np.sum(core[1:-1:2]) + 2.0 * np.sum(core[2:-2:2])
-    return float(dx / 3.0 * s + extra)
+        core = y[..., :-1]
+        extra = dx * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]) / 12.0
+    s = core[..., 0] + core[..., -1] + 4.0 * np.sum(core[..., 1:-1:2], axis=-1) \
+        + 2.0 * np.sum(core[..., 2:-2:2], axis=-1)
+    return dx / 3.0 * s + extra
 
 
-def integrate_radial(f: np.ndarray, grid: RadialGrid, n: int, rule: str = "simpson") -> float:
-    """Integrate a cell-centered radial profile over R^n.
+def integrate_radial(f: np.ndarray, grid: RadialGrid, n: int,
+                     rule: str = "simpson") -> float | np.ndarray:
+    """Integrate a cell-centered radial profile, or a stack of them, over R^n.
+
+    f has shape (N,) or (..., N), one profile per row of the last axis;
+    one profile gives a float, a stack an array of the leading shape, so
+    several integrals of one snapshot cost one check and one product.
 
     The midpoint rule weights each sample with the exact shell measure of
     its cell.  The Simpson rule acts on f(r) * r**(n-1) across the centers
@@ -62,24 +61,21 @@ def integrate_radial(f: np.ndarray, grid: RadialGrid, n: int, rule: str = "simps
     is exact at the origin where the integrand vanishes like r**(n-1).
     Both rules are second order in the cell width.
     """
-    f = np.asarray(f, dtype=float)
-    if len(f) != grid.cells:
-        raise ValueError(f"profile has {len(f)} samples but grid has {grid.cells} cells")
-    _require_finite(f)
+    f = grid.check_profile(f)
     surface = n * unit_ball_measure(n)
 
     if rule == "midpoint":
-        return surface * float(f @ grid.shell_weights(n))
-    if rule != "simpson":
+        out = surface * (f @ grid.shell_weights(n))
+    elif rule == "simpson":
+        r = grid.centers
+        inner = _simpson_uniform(f * r ** (n - 1), grid.dr)
+        # Half-cells at both ends, integrated against the exact radial measure.
+        inner = inner + f[..., 0] * r[0] ** n / n
+        inner = inner + f[..., -1] * (grid.r_max**n - r[-1] ** n) / n
+        out = surface * inner
+    else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
-
-    r = grid.centers
-    g = f * r ** (n - 1)
-    inner = _simpson_uniform(g, grid.dr)
-    # Half-cells at both ends, integrated against the exact radial measure.
-    inner += f[0] * r[0] ** n / n
-    inner += f[-1] * (grid.r_max**n - r[-1] ** n) / n
-    return surface * inner
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
@@ -101,11 +97,9 @@ def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
     diagonal and the r**(n-1) weights vanish at the origin, so no
     special-case quadrature is needed anywhere.  Always >= 0.
     """
-    rho = np.asarray(rho, dtype=float)
-    if len(rho) != grid.cells:
-        raise ValueError(f"profile has {len(rho)} samples but grid has {grid.cells} cells")
-    _require_finite(rho)
+    rho = grid.check_profile(rho, "density")
+    geo = grid.geometry(n)
     surface = n * unit_ball_measure(n)
-    q = rho * grid.shell_weights(n)
+    q = rho * geo.weights
     below = np.concatenate(([0.0], np.cumsum(q[:-1])))  # sum_{j<i} q_j
-    return surface**2 * float((q * grid.centers ** (2 - n)) @ (q + 2.0 * below))
+    return surface**2 * float((q * geo.far_power) @ (q + 2.0 * below))

@@ -46,6 +46,10 @@ from .poisson import enclosed_weight_force
 
 __all__ = ["SolverConfig", "RunResult", "step", "run"]
 
+# Density floor of the vacuum policy; run() requires the initial peak to
+# stay at least ten orders above it.
+_DENSITY_FLOOR = 1e-14
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -53,13 +57,11 @@ class SolverConfig:
 
     fixed_dt pins the step size (refinement studies); otherwise the step
     adapts to cfl * dr / max(|u| + c).  output_stride samples diagnostics
-    every so many steps.  density_floor must stay at least ten orders below
-    the initial peak density; it is revalidated at run start.
+    every so many steps.
     """
 
     t_end: float
     cfl: float = 0.4
-    density_floor: float = 1e-14
     output_stride: int = 1
     fixed_dt: Optional[float] = None
 
@@ -68,8 +70,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if not (self.density_floor > 0.0):
-            raise ValueError("density_floor must be positive")
         if not (isinstance(self.output_stride, numbers.Integral)
                 and self.output_stride >= 1):
             raise ValueError(
@@ -154,7 +154,7 @@ def _conserved(state: RadialState, params: ModelParams) -> np.ndarray:
     return np.stack(rows)
 
 
-def _clean(U: np.ndarray, cfg: SolverConfig, gamma: float) -> np.ndarray:
+def _clean(U: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the vacuum policy to the conserved rows U in place; returns U.
 
     Density is floored, and cells at or below ten times the floor are
@@ -165,7 +165,7 @@ def _clean(U: np.ndarray, cfg: SolverConfig, gamma: float) -> np.ndarray:
     force kick can push kinetic energy past the total, and the recovered
     pressure must stay positive.
     """
-    floor = cfg.density_floor
+    floor = _DENSITY_FLOOR
     rho = np.maximum(U[0], floor, out=U[0])
     wet = rho > 10.0 * floor
     U[1] = np.where(wet, U[1], 0.0)
@@ -221,8 +221,7 @@ def _reconstruct(v: np.ndarray) -> np.ndarray:
     return faces
 
 
-def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams,
-         cfg: SolverConfig):
+def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams):
     """Time derivative of the clean conserved rows U, and the largest cell
     signal speed |u| + c."""
     gamma, n = params.gamma, params.n
@@ -234,7 +233,7 @@ def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams,
     faces = _reconstruct(np.stack((rho, u, p)))
     rho_f, u_f, p_f = faces[:, 0], faces[:, 1], faces[:, 2]
     np.maximum(p_f, 0.0, out=p_f)
-    np.maximum(rho_f, cfg.density_floor, out=rho_f)
+    np.maximum(rho_f, _DENSITY_FLOOR, out=rho_f)
     speed_l, speed_r = np.abs(u_f) + np.sqrt(gamma * p_f / rho_f)
     half_s = 0.5 * np.maximum(speed_l, speed_r)
 
@@ -275,15 +274,15 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     pressure without a clamp at zero.
     """
     gamma = params.gamma
-    U0 = _clean(_conserved(state, params), cfg, gamma)
-    dU0, speed = _rhs(U0, grid, params, cfg)
+    U0 = _clean(_conserved(state, params), gamma)
+    dU0, speed = _rhs(U0, grid, params)
     dt_cfl = cfg.cfl * grid.dr / max(speed, 1e-300)
     if cfg.fixed_dt is None:
         dt = min(dt, dt_cfl)
 
-    U1 = _clean(U0 + dt * dU0, cfg, gamma)
-    dU1, _ = _rhs(U1, grid, params, cfg)
-    U2 = _clean(0.5 * (U0 + U1 + dt * dU1), cfg, gamma)
+    U1 = _clean(U0 + dt * dU0, gamma)
+    dU1, _ = _rhs(U1, grid, params)
+    U2 = _clean(0.5 * (U0 + U1 + dt * dU1), gamma)
 
     u, p, _ = _primitives(U2, gamma)
     new = RadialState(rho=U2[0], u_r=u, p=p, mode=state.mode,
@@ -320,16 +319,16 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     peak0 = float(np.max(state.rho))
     if peak0 <= 0.0:
         raise ValueError("initial density vanishes; nothing to evolve")
-    if cfg.density_floor > 1e-10 * peak0:
+    if _DENSITY_FLOOR > 1e-10 * peak0:
         raise ValueError(
-            f"density_floor {cfg.density_floor:.3e} is too close to the "
-            f"initial peak {peak0:.3e}; keep it at or below 1e-10 * peak"
+            f"initial peak density {peak0:.3e} is within ten orders of the "
+            f"density floor {_DENSITY_FLOOR:.0e}"
         )
 
     # the cleaned initial data give the step's own signal speed, and the
     # steepening detector's scale: the initial wet-cell velocity gradient,
     # or an acoustic scale when the initial flow is at rest
-    u, _, c = _primitives(_clean(_conserved(state, params), cfg, params.gamma),
+    u, _, c = _primitives(_clean(_conserved(state, params), params.gamma),
                           params.gamma)
     grad0 = _max_grad(state, grid, peak0)
     grad_cap = 1e3 * max(grad0, float(np.max(c)) / grid.r_max)
@@ -348,7 +347,7 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
         grads.append(max_grad)
         if s.mode == "EP":
             # the entropy is only meaningful where there is gas
-            gas = s.rho > 1e3 * cfg.density_floor
+            gas = s.rho > 1e3 * _DENSITY_FLOOR
             entropies.append(float(np.min(
                 recover_entropy(s.rho, s.p, params, gas))))
 

@@ -243,6 +243,8 @@ BAD_INPUTS = [
     ("simulate", "solver.t_end = inf", []),
     ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),
     ("verify", "chlp = 3.0", ["--randomized", "-5"]),
+    # not a config key: the density floor is fixed
+    ("simulate", "solver.density_floor = 1e-14", []),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Grid, profile construction and config parsing."""
+"""Grid, the profile contract, profile construction and config parsing."""
 
 import math
 
@@ -7,15 +7,23 @@ import pytest
 
 from epblowup.core import (
     ConfigError,
+    GridMismatchError,
     ModelParams,
+    NonFiniteSampleError,
     ProfileError,
     ProfileSpec,
     RadialGrid,
+    RadialState,
     build_profile,
     parse_config,
     parse_config_text,
     recover_entropy,
 )
+from epblowup.diagnostics import compute_quantities
+from epblowup.oracles import radial_fourier
+from epblowup.poisson import (enclosed_weight_force, laplacian_residual,
+                              solve_potential)
+from epblowup.quadrature import integrate_radial, interaction_integral
 
 P3 = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
 
@@ -154,3 +162,45 @@ def test_geometry_is_cached_read_only_and_invisible():
     other = RadialGrid(8.0, 1024)
     assert g == other and hash(g) == hash(other)
     assert repr(g) == repr(other) == "RadialGrid(r_max=8.0, cells=1024)"
+
+
+def _snapshot(f, velocity=None):
+    # f is the density and the pressure; velocity defaults to rest
+    u = np.zeros(len(f)) if velocity is None else velocity
+    return RadialState(rho=f, u_r=u, p=f, mode="IEP")
+
+
+# every function that takes cell-centred samples, fed the profile f on g
+PROFILE_CALLERS = {
+    "integrate_radial": lambda f, g: integrate_radial(f, g, 3),
+    "integrate_radial-midpoint": lambda f, g: integrate_radial(f, g, 3, "midpoint"),
+    "integrate_radial-stack": lambda f, g: integrate_radial(np.stack((f, f)), g, 3),
+    "interaction_integral": lambda f, g: interaction_integral(f, g, 3),
+    "solve_potential": lambda f, g: solve_potential(f, g, 3),
+    "enclosed_weight_force": lambda f, g: enclosed_weight_force(f, g, 3),
+    "laplacian_residual-rho": lambda f, g: laplacian_residual(
+        f, np.zeros(g.cells), g, 3),
+    "laplacian_residual-phi": lambda f, g: laplacian_residual(
+        np.ones(g.cells), f, g, 3),
+    "radial_fourier": lambda f, g: radial_fourier(f, g, [0.5, 1.0]),
+    "compute_quantities": lambda f, g: compute_quantities(_snapshot(f), g, P3),
+    "compute_quantities-velocity": lambda f, g: compute_quantities(
+        _snapshot(np.exp(-np.arange(len(f)) / 8.0), velocity=f), g, P3),
+}
+
+
+@pytest.mark.parametrize("call", PROFILE_CALLERS.values(), ids=PROFILE_CALLERS.keys())
+def test_profile_contract(call):
+    # one rule everywhere: one sample per cell on the last axis, all finite;
+    # both errors are ValueErrors, so the CLI exits 2 on either
+    g = RadialGrid(4.0, 32)
+    good = np.exp(-g.centers**2)
+    call(good, g)
+    with pytest.raises(GridMismatchError, match="32 cells"):
+        call(good[:-1], g)
+    bad = good.copy()
+    bad[5] = np.nan
+    with pytest.raises(NonFiniteSampleError):
+        call(bad, g)
+    assert issubclass(GridMismatchError, ValueError)
+    assert issubclass(NonFiniteSampleError, ValueError)

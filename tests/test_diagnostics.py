@@ -44,6 +44,19 @@ def test_quantity_values_against_closed_forms():
     assert q.e_total == pytest.approx(q.e_kin + q.e_int + q.e_pot, rel=1e-12)
 
 
+def test_one_integral_and_one_potential_call_per_snapshot(monkeypatch):
+    # the six moment integrals go through one stacked integrate_radial call
+    st, g = make_state(velocity_alpha=0.3)
+    calls = []
+    for name in ("integrate_radial", "solve_potential"):
+        def counted(*args, _name=name, _fn=getattr(diag, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(diag, name, counted)
+    compute_quantities(st, g, P3)
+    assert sorted(calls) == ["integrate_radial", "solve_potential"]
+
+
 def test_cauchy_schwarz_margin_and_equality():
     st, g = make_state(velocity_alpha=1.0)  # u_r = r
     q = compute_quantities(st, g, P3)

@@ -20,7 +20,6 @@ from scipy.special import erf
 from epblowup.core import (ModelParams, ProfileSpec, RadialGrid,
                            TailViolationError, build_profile)
 from epblowup.poisson import (
-    GridMismatchError,
     enclosed_weight_force,
     laplacian_residual,
     solve_potential,
@@ -108,15 +107,6 @@ def test_laplacian_residual_second_order_on_smooth():
         vals.append(laplacian_residual(rho, solve_potential(rho, g, 3), g, 3))
     for coarse, fine in zip(vals, vals[1:]):
         assert 3.2 < coarse / fine < 4.8
-
-
-def test_grid_mismatch_raises():
-    g = RadialGrid(8.0, 128)
-    rho = np.exp(-g.centers**2)
-    with pytest.raises(GridMismatchError):
-        enclosed_weight_force(np.zeros(64), g, 3)
-    with pytest.raises(GridMismatchError):
-        laplacian_residual(rho, np.zeros(64), g, 3)
 
 
 def test_build_profile_guards_truncation():

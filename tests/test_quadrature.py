@@ -7,11 +7,7 @@ import pytest
 
 from epblowup.constants import unit_ball_measure
 from epblowup.core import RadialGrid
-from epblowup.quadrature import (
-    NonFiniteSampleError,
-    integrate_radial,
-    interaction_integral,
-)
+from epblowup.quadrature import integrate_radial, interaction_integral
 
 # closed forms used below (n = 3 throughout):
 #   int of exp(-r^2) over R^3       = pi**1.5
@@ -50,12 +46,21 @@ def test_simpson_needs_odd_samples_handled():
     assert out == pytest.approx(4.0 * math.pi / 3.0 * 64.0, rel=1e-6)
 
 
-def test_rejects_nonfinite_samples():
-    g = RadialGrid(4.0, 32)
-    f = np.ones(32)
-    f[5] = np.nan
-    with pytest.raises(NonFiniteSampleError):
-        integrate_radial(f, g, 3)
+@pytest.mark.parametrize("rule", ["simpson", "midpoint"])
+def test_stack_matches_rows(rule):
+    # a stack along the last axis gives each row's own integral; the
+    # midpoint rule's matrix product may round differently from a dot
+    g = RadialGrid(8.0, 1024)
+    r = g.centers
+    stack = np.array([np.exp(-r**2), (r < 1.0).astype(float),
+                      r**2 * np.exp(-r**2), np.exp(-((r - 2.0) / 0.4) ** 2)])
+    rows = [integrate_radial(f, g, 3, rule) for f in stack]
+    assert all(type(value) is float for value in rows)
+    out = integrate_radial(stack, g, 3, rule)
+    assert out.shape == (4,)
+    np.testing.assert_allclose(out, rows, rtol=1e-15, atol=0.0)
+    deep = integrate_radial(stack.reshape(2, 2, -1), g, 3, rule)
+    np.testing.assert_allclose(deep.reshape(-1), rows, rtol=1e-15, atol=0.0)
 
 
 def test_interaction_ball_closed_form():
