@@ -1,6 +1,6 @@
 """Blow-up certificates and virial diagnostics for radial self-forced gas flows."""
 
-from .constants import (ConstantsTable, build_table, chemin_c8, hls_constant,
+from .constants import (ConstantsTable, build_table, chemin_c8,
                         interaction_split_constant, mass_bound_constants,
                         minimize_hls, InfeasibleExponentError)
 from .core import (ConfigError, GridMismatchError, ModelParams,

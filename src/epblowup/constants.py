@@ -1,15 +1,14 @@
 """Closed-form constants behind the blow-up certificates.
 
 This module evaluates every constant that the certificate checks consume:
-the convolution-inequality constant and its minimizer
-over the admissible exponent curve, the mass lower-bound constant, the
+the convolution-inequality constant at its minimizing exponents
+p = q = 2n/(n+2) (a closed form), the mass lower-bound constant, the
 interaction-splitting constants, and the full per-configuration table
 C0..C11 assembled from initial data.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,8 +20,6 @@ from .diagnostics import compute_quantities
 
 __all__ = [
     "InfeasibleExponentError",
-    "hls_constant",
-    "hls_exponent_window",
     "minimize_hls",
     "chemin_c8",
     "mass_bound_constants",
@@ -37,97 +34,39 @@ class InfeasibleExponentError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Convolution inequality constant and its minimization
+# Convolution inequality constant
 # --------------------------------------------------------------------------
 
-def hls_constant(p: float, q: float, lam: float, n: int) -> float:
-    """Sharp-form constant for the |x|**(-lam) convolution bound.
+def minimize_hls(n: int, gamma: float) -> tuple[float, float, float]:
+    """Smallest convolution constant on the admissible exponent curve.
 
-    Requires 1/p + 1/q + lam/n = 2 with p, q > 1 and 0 < lam < n.  The
-    measure factor uses the (n-1)-ball volume.
+    For n >= 3, int int f g |x-y|**(2-n) <= C(p, q) ||f||_p ||g||_q on the
+    curve 1/p + 1/q = (n+2)/n, p, q > 1.  With a = (n-2)/n, x = 1 - 1/p,
+    y = 1 - 1/q (so x + y = a) and the (n-1)-ball volume omega_{n-1},
+
+        C(p, q) = (1/(p q)) (n/2) (omega_{n-1}/n)**a [(a/x)**a + (a/y)**a].
+
+    Returns (p, q, C) at p = q = 2n/(n+2), where the bracket is 2**(1+a).
+    Why p = q is the minimum: 1/(p q) = 1 - a + t with t = x y, and AM-GM
+    bounds the bracket below by 2 (a**2/t)**(a/2), with equality at x = y.
+    That bound times 1 - a + t decreases up to t = a**2/4 (x = y) when
+    a <= 3 - sqrt(5), i.e. for 3 <= n <= 8; tests/test_constants.py checks
+    larger n numerically.
+
+    Raises InfeasibleExponentError when gamma <= 2n/(n+2), where C1's
+    exponent theta = (n-2) gamma / (n (gamma-1)) reaches 2; nothing else
+    depends on gamma.
     """
-    if not (0.0 < lam < n):
-        raise ValueError(f"need 0 < lam < n, got lam={lam}, n={n}")
-    if p <= 1.0 or q <= 1.0:
-        raise ValueError(f"exponents must exceed 1, got p={p}, q={q}")
-    if abs(1.0 / p + 1.0 / q + lam / n - 2.0) > 1e-12:
-        raise ValueError(
-            f"exponents off the admissible surface: 1/p + 1/q + lam/n = "
-            f"{1.0 / p + 1.0 / q + lam / n!r}, expected 2"
-        )
-    measure = unit_ball_measure(n - 1)
-    a = lam / n
-    bracket = (a / (1.0 - 1.0 / p)) ** a + (a / (1.0 - 1.0 / q)) ** a
-    return (1.0 / (p * q)) * (n / (n - lam)) * (measure / n) ** a * bracket
-
-
-def hls_exponent_window(n: int, gamma: float) -> tuple[float, float]:
-    """Admissible p-interval on the curve 1/p + 1/q = (n+2)/n with p,q in (1, gamma].
-
-    Feasibility requires gamma > 2n / (n+2); otherwise no pair on the curve
-    keeps both exponents above 1 and below gamma.
-    """
-    if gamma <= 2.0 * n / (n + 2.0):
+    p = 2.0 * n / (n + 2.0)
+    if gamma <= p:
         raise InfeasibleExponentError(
-            f"gamma={gamma} is at or below 2n/(n+2)={2.0 * n / (n + 2.0):.6g}; "
+            f"gamma={gamma} is at or below 2n/(n+2)={p:.6g}; "
             f"no admissible exponent pair exists"
         )
-    p_lo = max(1.0, n * gamma / ((n + 2.0) * gamma - n))
-    p_hi = min(gamma, n / 2.0)
-    if not (p_lo < p_hi) and not math.isclose(p_lo, p_hi, rel_tol=1e-14):
-        raise InfeasibleExponentError(
-            f"empty exponent window for n={n}, gamma={gamma}"
-        )
-    return p_lo, p_hi
-
-
-def _conjugate_on_curve(p: float, n: int) -> float:
-    return 1.0 / ((n + 2.0) / n - 1.0 / p)
-
-
-@functools.lru_cache(maxsize=None)
-def minimize_hls(n: int, gamma: float) -> tuple[float, float, float]:
-    """Minimize the convolution constant over the admissible exponent curve.
-
-    Returns (p, q, value).  The curve is symmetric under p <-> q, so the
-    scan covers the full window and a golden-section pass refines the best
-    bracket.  Raises InfeasibleExponentError when gamma <= 2n/(n+2).  The
-    result depends on (n, gamma) only and is memoized on them; errors are
-    not cached, so an infeasible pair raises on every call.
-    """
-    lam = float(n - 2)
-    p_lo, p_hi = hls_exponent_window(n, gamma)
-    # nudge off genuinely open endpoints (p -> 1 or q -> 1) where the
-    # constant diverges anyway
-    eps = 1e-9 * (p_hi - p_lo)
-    lo = p_lo + eps if p_lo <= 1.0 else p_lo
-    hi = p_hi - eps if p_hi >= n / 2.0 else p_hi
-
-    def value(p: float) -> float:
-        return hls_constant(p, _conjugate_on_curve(p, n), lam, n)
-
-    ps = np.linspace(lo, hi, 2001)
-    vals = np.array([value(p) for p in ps])
-    k = int(np.argmin(vals))
-    a = ps[max(0, k - 1)]
-    b = ps[min(len(ps) - 1, k + 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    while b - a > 1e-12 * max(1.0, abs(a)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    p_best = 0.5 * (a + b)
-    candidates = [(value(p), p) for p in (p_best, lo, hi)]
-    best_val, best_p = min(candidates)
-    return best_p, _conjugate_on_curve(best_p, n), best_val
+    a = (n - 2.0) / n
+    c = ((n + 2.0) / (2.0 * n)) ** 2 * (n / 2.0) \
+        * (unit_ball_measure(n - 1) / n) ** a * 2.0 ** (1.0 + a)
+    return p, p, c
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +184,7 @@ def _c2_printed(n: int, gamma: float, mass: float, c_hlp: float) -> tuple[float,
 class ConstantsTable:
     """Certificate constants C0..C11 for one initial configuration.
 
-    Entries that require an infeasible exponent window are None and the
+    Entries whose exponents are infeasible for (n, gamma) are None and the
     reason is kept in ``notes``.  c4 follows the sharper (min-coefficient)
     branch of the lower parabola; the max-coefficient companion is c5.
     """
@@ -322,17 +261,13 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     else:
         s1 = 0.0  # isentropic closure: exp(s/c_nu) = 1
 
+    # minimize_hls's gate is theta < 2, and theta > 0 for every n >= 3
     theta = p_star = q_star = c_hls_min = c1 = None
     try:
-        theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
-        if not (0.0 < theta < 2.0):
-            raise InfeasibleExponentError(
-                f"interaction interpolation exponent theta={theta:.6g} outside (0, 2)"
-            )
         p_star, q_star, c_hls_min = minimize_hls(n, gamma)
+        theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
         c1 = c_hls_min * q.mass ** (2.0 - theta)
     except InfeasibleExponentError as exc:
-        theta = None
         notes.append(f"C1 unavailable: {exc}")
 
     try:

@@ -187,13 +187,18 @@ class RadialGrid:
         """Exact radial measure of each cell, (r_out**n - r_in**n) / n (read-only)."""
         return self.geometry(n).weights
 
-    def check_profile(self, f, what: str = "profile") -> np.ndarray:
+    def check_profile(self, f, what: str = "profile",
+                      ndim: Optional[int] = None) -> np.ndarray:
         """f as floats, once its last axis holds one sample per cell (leading
-        axes stack profiles) and every sample is finite."""
+        axes stack profiles), it has ndim axes if ndim is given, and every
+        sample is finite."""
         f = np.asarray(f, dtype=float)
         if f.ndim == 0 or f.shape[-1] != self.cells:
             raise GridMismatchError(
                 f"{what} has shape {f.shape} but grid has {self.cells} cells")
+        if ndim is not None and f.ndim != ndim:
+            raise GridMismatchError(
+                f"{what} has shape {f.shape}, not {ndim}-dimensional")
         if not np.isfinite(f).all():
             raise NonFiniteSampleError(f"{what} contains non-finite samples")
         return f

@@ -73,7 +73,7 @@ def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
 
         int int rho rho |x-y|**(2-n) <= C(p, q) M**(2-theta) ||rho||_gamma**theta
 
-    with the constant minimized over the admissible exponent curve.
+    with the constant at its minimizing exponents p = q = 2n/(n+2).
     """
     n, gamma = params.n, params.gamma
     theta = (n - 2.0) * gamma / (n * (gamma - 1.0))

@@ -9,8 +9,8 @@ convolution to two one-dimensional cumulative integrals,
                           + int_r^rmax s rho(s) ds ].
 
 Phi satisfies  Lap(Phi) = n (n-2) omega_n rho  and is <= 0 for rho >= 0.
-Every profile passes RadialGrid.check_profile (GridMismatchError,
-NonFiniteSampleError).
+Each function takes one profile, not a stack; every profile passes
+RadialGrid.check_profile (GridMismatchError, NonFiniteSampleError).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     truncation at r_max is only valid for decayed densities; build_profile
     holds initial data to that, and this function does not check it.
     """
-    rho = grid.check_profile(rho, "density")
+    rho = grid.check_profile(rho, "density", ndim=1)
     geo = grid.geometry(n)
     inner = _inner_moment(rho, geo, n)
 
@@ -66,7 +66,7 @@ def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarr
     order at a density jump, and exact to roundoff on a uniform ball whose
     edge is a cell edge.
     """
-    rho = grid.check_profile(rho, "density")
+    rho = grid.check_profile(rho, "density", ndim=1)
     inner = _inner_moment(rho, grid.geometry(n), n)
     return n * (n - 2.0) * unit_ball_measure(n) * inner / grid.centers ** (n - 1.0)
 
@@ -87,8 +87,8 @@ def laplacian_residual(rho: np.ndarray, phi: np.ndarray, grid: RadialGrid,
     excluded (the outer one sees the truncated far field, the inner one has
     no inward neighbor).
     """
-    rho = grid.check_profile(rho, "density")
-    phi = grid.check_profile(phi, "potential")
+    rho = grid.check_profile(rho, "density", ndim=1)
+    phi = grid.check_profile(phi, "potential", ndim=1)
     source = n * (n - 2.0) * unit_ball_measure(n)
     geo = grid.geometry(n)
     faces = geo.areas[1:-1]                      # interior faces only

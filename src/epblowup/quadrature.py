@@ -97,7 +97,7 @@ def interaction_integral(rho: np.ndarray, grid: RadialGrid, n: int) -> float:
     diagonal and the r**(n-1) weights vanish at the origin, so no
     special-case quadrature is needed anywhere.  Always >= 0.
     """
-    rho = grid.check_profile(rho, "density")
+    rho = grid.check_profile(rho, "density", ndim=1)
     geo = grid.geometry(n)
     surface = n * unit_ball_measure(n)
     q = rho * geo.weights

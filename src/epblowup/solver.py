@@ -83,7 +83,7 @@ class SolverConfig:
 class RunResult:
     """Diagnostics series plus how (and when) the run ended.
 
-    quantities holds one QuantitySet per sample, functionals included.
+    quantities holds one QuantitySet per sample, H and J included.
     stop_reason is one of 't_end', 'positivity', 'cfl', 'gradient-blowup'.
     max_grad_u is the largest wet-cell max |d(u_r)/dr| over the samples;
     min_entropy is the smallest entropy over the samples (None in IEP mode),

@@ -2,14 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from epblowup.constants import (
     InfeasibleExponentError,
     build_table,
     chemin_c8,
-    hls_constant,
-    hls_exponent_window,
     interaction_split_constant,
     mass_bound_constants,
     minimize_hls,
@@ -27,34 +26,49 @@ def test_unit_ball_measures():
 def test_hls_constant_frozen_value():
     # conservative ball-measure normalization; the sharp constant at this
     # diagonal point is 2.294, anything above it is a valid bound
-    val = hls_constant(1.2, 1.2, 1.0, 3)
+    p_star, q_star, val = minimize_hls(3, 5.0 / 3.0)
+    assert (p_star, q_star) == (1.2, 1.2)
     assert val == pytest.approx(2.665497628718767, rel=1e-12)
     assert val > 2.294
 
 
 def test_hls_exponent_feasibility():
-    with pytest.raises(ValueError):
-        hls_constant(1.0, 1.2, 1.0, 3)  # p must exceed 1
-    with pytest.raises(ValueError):
-        hls_constant(2.0, 2.0, 1.0, 3)  # scaling balance violated
-    with pytest.raises(InfeasibleExponentError):
-        hls_exponent_window(3, 1.1)  # below 2n/(n+2)
+    # the one gate: gamma must exceed 2n/(n+2), the symmetric exponent
+    for n in (3, 4, 5, 9):
+        p_sym = 2.0 * n / (n + 2.0)
+        with pytest.raises(InfeasibleExponentError):
+            minimize_hls(n, p_sym)
+        assert minimize_hls(n, math.nextafter(p_sym, 2.0))[:2] == (p_sym, p_sym)
 
 
 def test_hls_window_and_minimizer():
-    lo, hi = hls_exponent_window(3, 5.0 / 3.0)
-    assert (lo, hi) == pytest.approx((1.0, 1.5))
-    p_star, q_star, c_min = minimize_hls(3, 5.0 / 3.0)
-    assert p_star == pytest.approx(1.2, abs=1e-6)
-    assert q_star == pytest.approx(1.2, abs=1e-6)
-    assert c_min == pytest.approx(2.665497628718767, rel=1e-9)
+    # n = 4 and 5 pin the (n-1)-ball measure factor, which lands below
+    # Lieb's sharp constant there (ROADMAP item 13)
+    assert minimize_hls(4, 5.0 / 3.0) == pytest.approx(
+        (4.0 / 3.0, 4.0 / 3.0, 3.2562056455122046), rel=1e-12)
+    assert minimize_hls(5, 5.0 / 3.0) == pytest.approx(
+        (10.0 / 7.0, 10.0 / 7.0, 3.684375867198286), rel=1e-12)
+    # the constant does not depend on gamma beyond the gate
+    assert minimize_hls(3, 3.0) == minimize_hls(3, 5.0 / 3.0)
 
 
-def test_minimize_hls_is_memoized():
-    first = minimize_hls(3, 5.0 / 3.0)
-    hits = minimize_hls.cache_info().hits
-    assert minimize_hls(3, 5.0 / 3.0) == first
-    assert minimize_hls.cache_info().hits > hits
+def _hls_on_curve(n, inv_p):
+    """The convolution constant C(p, q) at 1/p = inv_p on 1/p + 1/q = (n+2)/n."""
+    a = (n - 2.0) / n
+    inv_q = (n + 2.0) / n - inv_p
+    with np.errstate(divide="ignore"):
+        bracket = (a / (1.0 - inv_p)) ** a + (a / (1.0 - inv_q)) ** a
+    return inv_p * inv_q * (n / 2.0) * (unit_ball_measure(n - 1) / n) ** a * bracket
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 50])
+def test_minimize_hls_is_the_minimum_on_the_curve(n):
+    # the AM-GM argument covers n <= 8; this samples the whole open curve,
+    # 2/n < 1/p < 1, endpoints included (the constant diverges there)
+    _, _, c_min = minimize_hls(n, 3.0)
+    values = _hls_on_curve(n, np.linspace(2.0 / n, 1.0, 200_001))
+    assert values.min() >= c_min * (1.0 - 1e-12)
+    assert values[100_000] == pytest.approx(c_min, rel=1e-12)  # 1/p = (n+2)/(2n)
 
 
 def test_minimize_hls_infeasible_raises_every_call():
@@ -146,11 +160,18 @@ def test_default_chlp_carries_caveat():
 
 
 def test_infeasible_interpolation_reported_in_notes():
-    # gamma close to 1 pushes theta = (n-2) gamma / (n (gamma-1)) above 2
-    params = ModelParams(n=3, gamma=1.1, delta=-1)
-    grid = RadialGrid(8.0, 128)
-    st = build_profile(ProfileSpec(kind="gaussian"), grid, params)
-    tab = build_table(st, grid, params)
-    assert tab.c1 is None
-    assert tab.theta is None
-    assert any("C1 unavailable" in note for note in tab.notes)
+    # C1 has one gate, minimize_hls's gamma > 2n/(n+2); below it theta =
+    # (n-2) gamma / (n (gamma-1)) would reach 2
+    grid = RadialGrid(8.0, 64)
+    for n in (3, 4, 5):
+        p_sym = 2.0 * n / (n + 2.0)
+        for gamma in (1.1, p_sym, math.nextafter(p_sym, 2.0), 5.0 / 3.0, 2.5):
+            params = ModelParams(n=n, gamma=gamma, delta=-1)
+            st = build_profile(ProfileSpec(kind="gaussian"), grid, params)
+            tab = build_table(st, grid, params)
+            infeasible = gamma <= p_sym
+            assert (tab.c1 is None) == infeasible, (n, gamma)
+            assert (tab.theta is None) == infeasible
+            assert any("C1 unavailable" in note for note in tab.notes) == infeasible
+            if not infeasible:
+                assert 0.0 < tab.theta < 2.0

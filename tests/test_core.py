@@ -189,15 +189,28 @@ PROFILE_CALLERS = {
 }
 
 
-@pytest.mark.parametrize("call", PROFILE_CALLERS.values(), ids=PROFILE_CALLERS.keys())
-def test_profile_contract(call):
-    # one rule everywhere: one sample per cell on the last axis, all finite;
-    # both errors are ValueErrors, so the CLI exits 2 on either
+# the callers that take a stack of profiles as well as one
+STACK_CALLERS = {"integrate_radial", "integrate_radial-midpoint",
+                 "integrate_radial-stack", "radial_fourier"}
+
+
+@pytest.mark.parametrize("name", PROFILE_CALLERS)
+def test_profile_contract(name):
+    # one rule everywhere: one sample per cell on the last axis, all finite,
+    # and one axis where only one profile is taken; both errors are
+    # ValueErrors, so the CLI exits 2 on either
+    call = PROFILE_CALLERS[name]
     g = RadialGrid(4.0, 32)
     good = np.exp(-g.centers**2)
     call(good, g)
     with pytest.raises(GridMismatchError, match="32 cells"):
         call(good[:-1], g)
+    for stack in (np.stack((good, good)), good[None, :]):
+        if name in STACK_CALLERS:
+            call(stack, g)
+        else:
+            with pytest.raises(GridMismatchError):
+                call(stack, g)
     bad = good.copy()
     bad[5] = np.nan
     with pytest.raises(NonFiniteSampleError):
