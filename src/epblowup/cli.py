@@ -18,7 +18,7 @@ from .constants import build_table
 from .core import ConfigError, RadialGrid, RunSetup, parse_config
 from .criteria import check_all
 from .diagnostics import write_series_csv
-from .oracles import run_suite, verify_energy_bounds
+from .oracles import build_corpus, run_suite, verify_energy_bounds
 from .solver import SolverConfig, run
 
 __all__ = ["main", "dispatch"]
@@ -99,6 +99,8 @@ def _cmd_verify(args) -> int:
     setup = parse_config(args.config)
     suites = ["hls", "hlp", "chemin", "split", "bounds"] \
         if args.suite == "all" else [args.suite]
+    # one corpus for every oracle suite; 'bounds' alone needs none
+    corpus = build_corpus(args.randomized) if args.suite != "bounds" else None
     payload = {"suites": {}}
     ok = True
     for suite in suites:
@@ -117,8 +119,7 @@ def _cmd_verify(args) -> int:
             }
             ok = ok and worst >= -1e-8
         else:
-            report = run_suite(suite, setup.params, c_hlp=setup.chlp,
-                               randomized=args.randomized)
+            report = run_suite(suite, setup.params, corpus, c_hlp=setup.chlp)
             report.pop("reports")
             payload["suites"][suite] = report
             ok = ok and report["worst_rel_margin"] >= -1e-8

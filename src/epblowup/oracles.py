@@ -4,7 +4,9 @@ Each verify_* routine evaluates one functional inequality on concrete
 radial densities and reports (lhs, rhs, margin).  A margin is rhs - lhs,
 so nonnegative means the bound held.  The routines share a deterministic
 corpus -- named reference shapes plus seeded random Gaussian mixtures --
-so reports are reproducible bit for bit.
+so reports are reproducible bit for bit.  Each inequality has one private
+scorer that takes a stack of densities; run_suite hands it the whole
+corpus, and the verify_* routines are its one-profile case.
 
 The Fourier-norm check (verify_hlp) is special: the underlying inequality
 has no constructive constant, so the check reports the empirical ratio
@@ -67,6 +69,34 @@ class MarginReport:
         }
 
 
+def _name(kind: str, label: str) -> str:
+    return f"{kind}{':' + label if label else ''}"
+
+
+def _single(rho, grid: RadialGrid) -> np.ndarray:
+    """One density as a one-row stack, for the one-profile verify_* calls."""
+    return grid.check_profile(rho, "density", ndim=1)[None, :]
+
+
+def _score_hls(stack: np.ndarray, labels, grid: RadialGrid,
+               params: ModelParams) -> list[MarginReport]:
+    """HLS reports for a stack of densities (m, N), one per label."""
+    n, gamma = params.n, params.gamma
+    theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
+    p, q, c_val = minimize_hls(n, gamma)
+    masses, gamma_ints = integrate_radial(
+        np.stack((stack, stack**gamma)), grid, n).tolist()
+    return [
+        MarginReport(
+            name=_name("hls", label),
+            lhs=interaction_integral(rho, grid, n),
+            rhs=c_val * mass ** (2.0 - theta) * (gamma_int ** (1.0 / gamma)) ** theta,
+            details={"p": p, "q": q, "constant": c_val, "theta": theta, "mass": mass},
+        )
+        for rho, label, mass, gamma_int in zip(stack, labels, masses, gamma_ints)
+    ]
+
+
 def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
                label: str = "") -> MarginReport:
     """Interaction energy against the convolution bound.
@@ -75,20 +105,10 @@ def verify_hls(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
 
     with the constant at its minimizing exponents p = q = 2n/(n+2).
     """
-    n, gamma = params.n, params.gamma
-    theta = (n - 2.0) * gamma / (n * (gamma - 1.0))
-    p, q, c_val = minimize_hls(n, gamma)
-    lhs = interaction_integral(rho, grid, n)
-    mass, gamma_int = integrate_radial(np.stack((rho, rho**gamma)), grid, n).tolist()
-    rhs = c_val * mass ** (2.0 - theta) * (gamma_int ** (1.0 / gamma)) ** theta
-    return MarginReport(
-        name=f"hls{':' + label if label else ''}",
-        lhs=lhs, rhs=rhs,
-        details={"p": p, "q": q, "constant": c_val, "theta": theta, "mass": mass},
-    )
+    return _score_hls(_single(rho, grid), [label], grid, params)[0]
 
 
-# Frequency grid of the Fourier-norm check, shared by verify_hlp and run_suite.
+# Frequency grid of the Fourier-norm check (the hlp scorer's k_grid).
 _K_MAX = 16.0
 _K_CELLS = 2048
 
@@ -99,37 +119,75 @@ def radial_fourier(f: np.ndarray, grid: RadialGrid, k: np.ndarray) -> np.ndarray
         Ff(k) = (2 / k) int_0^inf r f(r) sin(2 pi k r) dr.
 
     f is one profile, shape (N,), or a stack of m profiles, shape (m, N);
-    the result has shape (K,) or (m, K), one row per profile.  The
-    len(k) x N sine matrix is built once per call, so transforming a stack
-    costs one matrix product instead of m.  Every frequency must be
-    positive; ValueError otherwise.
+    the result has shape (K,) or (m, K), one row per profile.  Every
+    frequency must be positive; ValueError otherwise.
+
+    The sine table comes from angle addition on the uniform grid.  Cell i =
+    32 a + b sits at r_i = R_a + s_b with R_a = 32 a dr and s_b = (b + 1/2) dr,
+    so
+
+        sin(2 pi k r_i) = sin(2 pi k R_a) cos(2 pi k s_b)
+                          + cos(2 pi k R_a) sin(2 pi k s_b),
+
+    and K frequencies cost 2 K (N/32 + 32) sines and cosines instead of K N.
+    The table is built 256 frequencies at a time, so the largest array is
+    256 x N whatever K is, and a stack shares each block's matrix product.
     """
     f = grid.check_profile(f)
-    k = np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float).ravel()
     if not (k > 0.0).all():
         raise ValueError("radial_fourier needs frequencies k > 0")
-    r = grid.centers
-    phase = np.sin(2.0 * math.pi * np.outer(k, r))
-    return 2.0 * ((r * f) @ phase.T * grid.dr) / k
+    dr = grid.dr
+    runs = -(-grid.cells // 32)
+    # r f dr, zero-padded to whole runs of 32 cells
+    weighted = np.zeros(f.shape[:-1] + (32 * runs,))
+    weighted[..., :grid.cells] = grid.centers * f * dr
+    coarse = 2.0 * math.pi * 32.0 * dr * np.arange(runs)[:, None]
+    fine = 2.0 * math.pi * dr * (np.arange(32) + 0.5)[:, None]
+    out = np.empty(f.shape[:-1] + k.shape)
+    # two block buffers, reused: fresh 2 MiB arrays each block cost page
+    # faults.  Frequency is the last axis, so each ufunc loop runs 256 long.
+    buffers = np.empty((2, runs, 32, min(len(k), 256)))
+    for lo in range(0, len(k), 256):
+        block = k[lo:lo + 256]
+        big, small = coarse * block, fine * block
+        table, term = buffers[..., :len(block)]
+        np.multiply(np.sin(big)[:, None, :], np.cos(small)[None, :, :], out=table)
+        np.multiply(np.cos(big)[:, None, :], np.sin(small)[None, :, :], out=term)
+        table += term
+        out[..., lo:lo + 256] = weighted @ table.reshape(-1, len(block))
+    return 2.0 * out / k
 
 
-def _hlp_report(f: np.ndarray, transform: np.ndarray, grid: RadialGrid,
-                k_grid: RadialGrid, p: float, c_hlp: float,
-                label: str) -> MarginReport:
-    """Score one exponent p of the Fourier-norm bound from f's transform on k_grid."""
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"Fourier-norm bound needs 1 < p <= 2, got {p}")
+def _score_hlp(stack: np.ndarray, labels, grid: RadialGrid, exponents,
+               c_hlp: float) -> list[MarginReport]:
+    """Fourier-norm reports for a stack of densities (m, N) at each exponent p.
+
+    Reports run density by density, exponents inner; labels holds one per
+    report.  Every transform is taken in one radial_fourier call.
+    """
+    for p in exponents:
+        if not (1.0 < p <= 2.0):
+            raise ValueError(f"Fourier-norm bound needs 1 < p <= 2, got {p}")
+    k_grid = RadialGrid(_K_MAX, _K_CELLS)
     k = k_grid.centers
-    weighted = np.abs(transform) ** p * k ** (3.0 * (p - 2.0))
-    lhs = integrate_radial(weighted, k_grid, 3) ** (1.0 / p)
-    norm_p = integrate_radial(np.abs(f) ** p, grid, 3) ** (1.0 / p)
-    ratio = lhs / norm_p if norm_p > 0 else math.inf
-    return MarginReport(
-        name=f"hlp{':' + label if label else ''}",
-        lhs=lhs, rhs=c_hlp * norm_p,
-        details={"p": p, "ratio": ratio, "c_hlp": c_hlp,
-                 "exceeds_configured": bool(ratio > c_hlp)},
-    )
+    ps = np.array(exponents, dtype=float)[:, None, None]
+    weighted = np.abs(radial_fourier(stack, grid, k)) ** ps  # (P, m, K)
+    weighted *= k ** (3.0 * (ps - 2.0))
+    lhs_all = integrate_radial(weighted, k_grid, 3) ** (1.0 / ps[:, :, 0])
+    norm_all = integrate_radial(np.abs(stack) ** ps, grid, 3) ** (1.0 / ps[:, :, 0])
+    labels = iter(labels)
+    reports = []
+    for lhs_row, norm_row in zip(lhs_all.T.tolist(), norm_all.T.tolist()):
+        for p, lhs, norm_p in zip(exponents, lhs_row, norm_row):
+            ratio = lhs / norm_p if norm_p > 0 else math.inf
+            reports.append(MarginReport(
+                name=_name("hlp", next(labels)),
+                lhs=lhs, rhs=c_hlp * norm_p,
+                details={"p": p, "ratio": ratio, "c_hlp": c_hlp,
+                         "exceeds_configured": bool(ratio > c_hlp)},
+            ))
+    return reports
 
 
 def verify_hlp(f: np.ndarray, grid: RadialGrid, p: float, c_hlp: float = 1.0,
@@ -143,9 +201,39 @@ def verify_hlp(f: np.ndarray, grid: RadialGrid, p: float, c_hlp: float = 1.0,
     At p = 2 the ratio is 1 by Plancherel, which doubles as a quality gate
     for the transform discretization.
     """
-    k_grid = RadialGrid(_K_MAX, _K_CELLS)
-    transform = radial_fourier(f, grid, k_grid.centers)
-    return _hlp_report(f, transform, grid, k_grid, p, c_hlp, label)
+    return _score_hlp(_single(f, grid), [label], grid, (p,), c_hlp)[0]
+
+
+def _score_chemin(stack: np.ndarray, labels, grid: RadialGrid,
+                  params: ModelParams) -> list[MarginReport]:
+    """Chemin mass-bound reports for a stack of densities (m, N), one per label."""
+    n, gamma = params.n, params.gamma
+    d_exp = (n + 2.0) * gamma - n
+    c8 = chemin_c8(n, gamma)
+    families = integrate_radial(
+        np.stack((stack, stack**gamma, stack * grid.centers**2)), grid, n)
+    reports = []
+    for label, (mass, gamma_int, inertia2) in zip(labels, families.T.tolist()):
+        norm_g = gamma_int ** (1.0 / gamma)
+        rhs = c8 * norm_g ** (2.0 * gamma / d_exp) * inertia2 ** (n * (gamma - 1.0) / d_exp)
+        pressure_int = norm_g**gamma / (gamma - 1.0)
+        half_inertia = 0.5 * inertia2
+        _, c10 = mass_bound_constants(n, gamma, mass, 0.0, 1.0 / (gamma - 1.0))
+        decay_floor = c10 / half_inertia ** (n * (gamma - 1.0) / 2.0) \
+            if half_inertia > 0 else math.inf
+        reports.append(MarginReport(
+            name=_name("chemin", label),
+            lhs=mass, rhs=rhs,
+            details={
+                "C8": c8,
+                "norm_gamma": norm_g,
+                "inertia2": inertia2,
+                "pressure_int": pressure_int,
+                "decay_floor": decay_floor,
+                "decay_floor_margin": pressure_int - decay_floor,
+            },
+        ))
+    return reports
 
 
 def verify_chemin(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
@@ -158,31 +246,33 @@ def verify_chemin(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
     I >= C10 / G**(n(gamma-1)/2), evaluated for this density (isentropic
     reading I = ||rho||_gamma**gamma / (gamma - 1)).
     """
-    n, gamma = params.n, params.gamma
-    d_exp = (n + 2.0) * gamma - n
-    mass, gamma_int, inertia2 = integrate_radial(
-        np.stack((rho, rho**gamma, rho * grid.centers**2)), grid, n).tolist()
-    norm_g = gamma_int ** (1.0 / gamma)
-    c8 = chemin_c8(n, gamma)
-    rhs = c8 * norm_g ** (2.0 * gamma / d_exp) * inertia2 ** (n * (gamma - 1.0) / d_exp)
+    return _score_chemin(_single(rho, grid), [label], grid, params)[0]
 
-    pressure_int = norm_g**gamma / (gamma - 1.0)
-    half_inertia = 0.5 * inertia2
-    _, c10 = mass_bound_constants(n, gamma, mass, 0.0, 1.0 / (gamma - 1.0))
-    decay_floor = c10 / half_inertia ** (n * (gamma - 1.0) / 2.0) \
-        if half_inertia > 0 else math.inf
-    return MarginReport(
-        name=f"chemin{':' + label if label else ''}",
-        lhs=mass, rhs=rhs,
-        details={
-            "C8": c8,
-            "norm_gamma": norm_g,
-            "inertia2": inertia2,
-            "pressure_int": pressure_int,
-            "decay_floor": decay_floor,
-            "decay_floor_margin": pressure_int - decay_floor,
-        },
-    )
+
+def _score_split(stack: np.ndarray, labels, grid: RadialGrid, params: ModelParams,
+                 epsilons, c_hlp: float) -> list[MarginReport]:
+    """Split-bound reports for a stack of densities (m, N) at each epsilon.
+
+    Reports run density by density, epsilons inner; labels holds one per
+    report.  Each density's interaction energy is computed once.
+    """
+    n, gamma = params.n, params.gamma
+    masses, gamma_ints = integrate_radial(
+        np.stack((stack, stack**gamma)), grid, n).tolist()
+    labels = iter(labels)
+    reports = []
+    for rho, mass, gamma_int in zip(stack, masses, gamma_ints):
+        lhs = interaction_integral(rho, grid, n)
+        pressure_int = gamma_int / (gamma - 1.0)
+        for eps in epsilons:
+            c_eps, branch = interaction_split_constant(n, gamma, mass, c_hlp, eps)
+            reports.append(MarginReport(
+                name=_name("split", next(labels)),
+                lhs=lhs, rhs=eps * pressure_int + c_eps,
+                details={"epsilon": eps, "branch": branch, "C_eps": c_eps,
+                         "pressure_int": pressure_int, "mass": mass, "c_hlp": c_hlp},
+            ))
+    return reports
 
 
 def verify_lemma_split(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
@@ -194,18 +284,8 @@ def verify_lemma_split(rho: np.ndarray, grid: RadialGrid, params: ModelParams,
     C(eps) comes from interaction_split_constant and inherits its branch
     structure (and, below gamma = 2, its c_hlp dependence).
     """
-    n, gamma = params.n, params.gamma
-    lhs = interaction_integral(rho, grid, n)
-    mass, gamma_int = integrate_radial(np.stack((rho, rho**gamma)), grid, n).tolist()
-    pressure_int = gamma_int / (gamma - 1.0)
-    c_eps, branch = interaction_split_constant(n, gamma, mass, c_hlp, epsilon)
-    rhs = epsilon * pressure_int + c_eps
-    return MarginReport(
-        name=f"split{':' + label if label else ''}",
-        lhs=lhs, rhs=rhs,
-        details={"epsilon": epsilon, "branch": branch, "C_eps": c_eps,
-                 "pressure_int": pressure_int, "mass": mass, "c_hlp": c_hlp},
-    )
+    return _score_split(_single(rho, grid), [label], grid, params,
+                        (epsilon,), c_hlp)[0]
 
 
 def verify_energy_bounds(quantities: list[QuantitySet], table: ConstantsTable,
@@ -306,40 +386,35 @@ def build_corpus(randomized: int = 100) -> list[tuple[str, np.ndarray]]:
     return corpus
 
 
-def run_suite(suite: str, params: ModelParams, c_hlp: float = 1.0,
-              randomized: int = 100) -> dict:
-    """Run one verification suite over the corpus; returns a JSON-able report.
+def run_suite(suite: str, params: ModelParams,
+              corpus: list[tuple[str, np.ndarray]], c_hlp: float = 1.0) -> dict:
+    """Run one verification suite over a corpus; returns a JSON-able report.
 
+    corpus is the (name, density) list that build_corpus returns, on
+    corpus_grid(); the CLI builds it once and passes it to every suite.
     Suites: 'hls', 'hlp', 'chemin', 'split'.  ('bounds' needs a simulation
-    and lives with the CLI.)  The worst relative margin and the worst
-    Fourier ratio are summarized for quick gating.
+    and lives with the CLI.)  Each suite scores the whole corpus as one
+    (m, N) stack.  The worst relative margin and the worst Fourier ratio are
+    summarized for quick gating.
     """
     grid = corpus_grid()
-    corpus = build_corpus(randomized)
-    reports: list[MarginReport] = []
+    names = [name for name, _ in corpus]
+    stack = np.array([rho for _, rho in corpus])
 
     if suite == "hls":
-        for name, rho in corpus:
-            reports.append(verify_hls(rho, grid, params, label=name))
+        reports = _score_hls(stack, names, grid, params)
     elif suite == "hlp":
         if params.n != 3:
             raise ValueError("the Fourier-norm suite is only set up in dimension 3")
-        k_grid = RadialGrid(_K_MAX, _K_CELLS)
-        stack = np.array([rho for _, rho in corpus])
-        transforms = radial_fourier(stack, grid, k_grid.centers)
-        for (name, rho), transform in zip(corpus, transforms):
-            for p in (1.5, 5.0 / 3.0, 2.0):
-                reports.append(_hlp_report(rho, transform, grid, k_grid, p, c_hlp,
-                                           label=f"{name}-p{p:.4g}"))
+        exponents = (1.5, 5.0 / 3.0, 2.0)
+        labels = [f"{name}-p{p:.4g}" for name in names for p in exponents]
+        reports = _score_hlp(stack, labels, grid, exponents, c_hlp)
     elif suite == "chemin":
-        for name, rho in corpus:
-            reports.append(verify_chemin(rho, grid, params, label=name))
+        reports = _score_chemin(stack, names, grid, params)
     elif suite == "split":
-        for name, rho in corpus:
-            for eps in (0.5, 1.0, 2.0):
-                reports.append(verify_lemma_split(rho, grid, params,
-                                                  epsilon=eps, c_hlp=c_hlp,
-                                                  label=f"{name}-eps{eps}"))
+        epsilons = (0.5, 1.0, 2.0)
+        labels = [f"{name}-eps{eps}" for name in names for eps in epsilons]
+        reports = _score_split(stack, labels, grid, params, epsilons, c_hlp)
     else:
         raise ValueError(f"unknown suite {suite!r}")
 

@@ -272,8 +272,9 @@ def test_criterion_08_lifespan_root_finder(run_c1):
 def test_criterion_09_inequality_oracles():
     t0 = time.perf_counter()
     worst = {}
+    corpus = build_corpus(randomized=100)
     for suite in ("hls", "hlp", "chemin", "split"):
-        out = run_suite(suite, P53, c_hlp=CHLP, randomized=100)
+        out = run_suite(suite, P53, corpus, c_hlp=CHLP)
         assert out["count"] >= 100
         worst[suite] = out["worst_rel_margin"]
 

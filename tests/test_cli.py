@@ -132,6 +132,15 @@ def test_verify_bounds_suite(gauss_cfg, capsys):
     assert bounds["count"] >= 2
 
 
+def test_verify_bounds_builds_no_corpus(gauss_cfg, capsys):
+    # the corpus count is read only when an oracle suite runs
+    code, payload, _ = run_json(
+        capsys, ["verify", gauss_cfg, "--suite", "bounds", "--t-end", "0.02",
+                 "--randomized", "-1"])
+    assert code == 0
+    assert list(payload["suites"]) == ["bounds"]
+
+
 WIDE_CFG = GAUSS_CFG.replace("width = 1.0", "width = 2.5")
 
 

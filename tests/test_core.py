@@ -20,7 +20,8 @@ from epblowup.core import (
     recover_entropy,
 )
 from epblowup.diagnostics import compute_quantities
-from epblowup.oracles import radial_fourier
+from epblowup.oracles import (radial_fourier, verify_chemin, verify_hlp,
+                              verify_hls, verify_lemma_split)
 from epblowup.poisson import (enclosed_weight_force, laplacian_residual,
                               solve_potential)
 from epblowup.quadrature import integrate_radial, interaction_integral
@@ -183,6 +184,10 @@ PROFILE_CALLERS = {
     "laplacian_residual-phi": lambda f, g: laplacian_residual(
         np.ones(g.cells), f, g, 3),
     "radial_fourier": lambda f, g: radial_fourier(f, g, [0.5, 1.0]),
+    "verify_hls": lambda f, g: verify_hls(f, g, P3),
+    "verify_hlp": lambda f, g: verify_hlp(f, g, 1.5),
+    "verify_chemin": lambda f, g: verify_chemin(f, g, P3),
+    "verify_lemma_split": lambda f, g: verify_lemma_split(f, g, P3),
     "compute_quantities": lambda f, g: compute_quantities(_snapshot(f), g, P3),
     "compute_quantities-velocity": lambda f, g: compute_quantities(
         _snapshot(np.exp(-np.arange(len(f)) / 8.0), velocity=f), g, P3),

@@ -54,11 +54,51 @@ def test_radial_fourier_stack_matches_rows():
         assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
 
 
+@pytest.mark.parametrize("cells", [8, 1000, 1024])
+def test_radial_fourier_matches_direct_sum(cells):
+    # the angle-addition table against the sines taken one by one; 1000
+    # cells is not a whole number of 32-cell runs, 8 is less than one, and
+    # 300 frequencies leave a partial 256-frequency block
+    g = RadialGrid(8.0, cells)
+    r = g.centers
+    stack = np.array([np.exp(-r**2),
+                      (r < 1.0).astype(float),
+                      np.exp(-((r - 2.0) / 0.4) ** 2)])
+    k = np.sort(np.random.default_rng(5).uniform(1e-3, 16.0, 300))
+    direct = np.array([[2.0 / kj * np.sum(r * f * np.sin(2.0 * math.pi * kj * r) * g.dr)
+                        for kj in k] for f in stack])
+    for got, want in ((radial_fourier(stack, g, k), direct),
+                      (radial_fourier(stack[0], g, k), direct[0:1])):
+        assert got.shape[-1] == 300
+        for row, exact in zip(np.atleast_2d(got), want):
+            assert np.max(np.abs(row - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("suite, expect", [
+    ("hls", lambda corpus, grid: [verify_hls(rho, grid, P3, label=name)
+                                  for name, rho in corpus]),
+    ("chemin", lambda corpus, grid: [verify_chemin(rho, grid, P3, label=name)
+                                     for name, rho in corpus]),
+    ("split", lambda corpus, grid: [
+        verify_lemma_split(rho, grid, P3, epsilon=eps, c_hlp=CHLP,
+                           label=f"{name}-eps{eps}")
+        for name, rho in corpus for eps in (0.5, 1.0, 2.0)]),
+])
+def test_suite_matches_single_density_checks(suite, expect):
+    # the suite scores the corpus as one stack, the verify_* calls one
+    # density at a time: same names, lhs, rhs and details, bit for bit
+    corpus = build_corpus(randomized=5)
+    out = run_suite(suite, P3, corpus, c_hlp=CHLP)
+    reports = [rep.to_json_dict() for rep in expect(corpus, corpus_grid())]
+    assert out["reports"] == reports
+
+
 def test_hlp_suite_matches_single_density_checks():
-    out = run_suite("hlp", P3, c_hlp=CHLP, randomized=5)
+    corpus = build_corpus(randomized=5)
+    out = run_suite("hlp", P3, corpus, c_hlp=CHLP)
     grid = corpus_grid()
     expect = [verify_hlp(rho, grid, p, CHLP, label=f"{name}-p{p:.4g}")
-              for name, rho in build_corpus(randomized=5)
+              for name, rho in corpus
               for p in (1.5, 5.0 / 3.0, 2.0)]
     assert out["count"] == len(expect)
     for got, rep in zip(out["reports"], expect):
@@ -131,14 +171,15 @@ def test_corpus_is_deterministic_and_big_enough():
 
 
 def test_run_suite_reports_worst_margin():
-    out = run_suite("chemin", P3, c_hlp=CHLP, randomized=10)
+    corpus = build_corpus(randomized=10)
+    out = run_suite("chemin", P3, corpus, c_hlp=CHLP)
     assert out["count"] >= 10
     assert out["worst_rel_margin"] >= -1e-8
     assert "worst_case" in out
     with pytest.raises(ValueError):
-        run_suite("sobolev", P3)
+        run_suite("sobolev", P3, corpus)
 
 
 def test_hlp_suite_needs_dimension_three():
     with pytest.raises(ValueError):
-        run_suite("hlp", ModelParams(n=4, gamma=1.25, delta=1))
+        run_suite("hlp", ModelParams(n=4, gamma=1.25, delta=1), build_corpus())
