@@ -28,17 +28,8 @@ def _prepared_table(setup: RunSetup):
     return state, build_table(state, setup.grid, setup.params, c_hlp=setup.chlp)
 
 
-def _jsonable(obj):
-    # numpy scalars leak into report dicts; unwrap them for json
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _print_json(payload) -> None:
-    sys.stdout.write(
-        json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_constants(args) -> int:
@@ -100,7 +91,7 @@ def _cmd_verify(args) -> int:
     suites = ["hls", "hlp", "chemin", "split", "bounds"] \
         if args.suite == "all" else [args.suite]
     # one corpus for every oracle suite; 'bounds' alone needs none
-    corpus = build_corpus(args.randomized) if args.suite != "bounds" else None
+    corpus = build_corpus() if args.suite != "bounds" else None
     payload = {"suites": {}}
     ok = True
     for suite in suites:
@@ -155,8 +146,6 @@ def dispatch(argv) -> int:
     p_ver.add_argument("config")
     p_ver.add_argument("--suite", default="all",
                        choices=["hls", "hlp", "chemin", "split", "bounds", "all"])
-    p_ver.add_argument("--randomized", type=int, default=100,
-                       help="number of randomized corpus densities")
     p_ver.add_argument("--t-end", type=float, dest="t_end",
                        help="horizon for the bounds suite")
     p_ver.set_defaults(fn=_cmd_verify)

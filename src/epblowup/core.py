@@ -117,7 +117,11 @@ class ShellGeometry:
     weights = (r_out**n - r_in**n) / n, areas = edges**(n-1) (one per face),
     area_jumps = a_out - a_in, inner_cut = r**n - r_in**n,
     shell_sq = r_out**2 - r_in**2, outer_cut = r_out**2 - r**2 and
-    far_power = r**(2-n).
+    far_power = r**(2-n).  weights (midpoint) and simpson are the two
+    quadrature rules for int_0^rmax f(r) r**(n-1) dr = f @ rule: simpson is
+    composite Simpson on f r**(n-1) across the centers, an even count closed
+    by (-1, 8, 5) dr / 12 on the last three samples, plus both half cells
+    against the exact measure (r**n / n at the origin).
     """
 
     weights: np.ndarray
@@ -127,11 +131,22 @@ class ShellGeometry:
     shell_sq: np.ndarray
     outer_cut: np.ndarray
     far_power: np.ndarray
+    simpson: np.ndarray
 
     @classmethod
     def of(cls, edges: np.ndarray, centers: np.ndarray, n: int) -> "ShellGeometry":
         r, edges_in, edges_out = centers, edges[:-1], edges[1:]
         areas = edges ** (n - 1)
+        cells = len(r)
+        odd = cells if cells % 2 else cells - 1  # samples under composite Simpson
+        coef = np.zeros(cells)
+        coef[1:odd - 1:2], coef[2:odd - 1:2] = 4.0 / 3.0, 2.0 / 3.0
+        coef[[0, odd - 1]] += 1.0 / 3.0
+        if odd < cells:
+            coef[-3:] += np.array([-1.0, 8.0, 5.0]) / 12.0
+        simpson = coef * (edges[-1] / cells) * r ** (n - 1)
+        simpson[0] += r[0] ** n / n
+        simpson[-1] += (edges[-1] ** n - r[-1] ** n) / n
         arrays = (
             (edges_out**n - edges_in**n) / n,
             areas,
@@ -140,6 +155,7 @@ class ShellGeometry:
             edges_out**2 - edges_in**2,
             edges_out**2 - r**2,
             r ** (2.0 - n),
+            simpson,
         )
         for arr in arrays:
             arr.flags.writeable = False

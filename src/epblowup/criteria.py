@@ -25,7 +25,6 @@ __all__ = [
     "WrongRegimeError",
     "NoCrossingError",
     "ZERO_TOL",
-    "BRACKET_CAP",
     "check_iep_attractive",
     "check_iep_repulsive",
     "check_ep_attractive",
@@ -34,8 +33,6 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-10
-BISECT_TOL = 1e-8
-BRACKET_CAP = 1e9
 
 
 class WrongRegimeError(ValueError):
@@ -43,7 +40,7 @@ class WrongRegimeError(ValueError):
 
 
 class NoCrossingError(RuntimeError):
-    """The decay curve never drops below the inertia parabola (cap reached)."""
+    """The decay curve never drops below the inertia parabola."""
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,13 @@ def lifespan_bound(table: ConstantsTable, certificate: str = "2.1iii",
     certificate '2.1iii' squeezes against the parabola (3 C0 + C2) t^2 +
     F0 t + G0; certificate '2.2' uses C5 t^2 + F0 t + G0.  ``coefficients``
     can override any of C10, C11, a, b, c, exponent for synthetic studies.
-    Returns (t_star, info).  Brackets by doubling up to 1e9 and bisects to
-    1e-8 absolute; verifies the gap is strictly negative just past t_star.
+    Returns (t_star, info); raises NoCrossingError when the gap stays >= 0
+    for all t >= 0.  With C11 > 0 (C11 <= 0 crosses at once) and kappa =
+    (C11 / C10)**(2/E), the gap is negative exactly where q(t) = kappa (a t^2
+    + b t + c) - (t+1)**2 is, since x -> x**(2/E) increases and a parabola
+    at or below zero makes q negative too.  t_star is the root where q
+    turns negative (stable quadratic formula); a postcheck probes the gap
+    just past it, inside the negative window if that is shorter than 1e-6.
     """
     n, gamma = table.n, table.gamma
     if certificate == "2.1iii":
@@ -271,36 +273,39 @@ def lifespan_bound(table: ConstantsTable, certificate: str = "2.1iii",
         raise ValueError(f"initial inertia G0 must be positive, got {c}")
     if c10 <= 0.0:
         raise ValueError(f"decay constant C10 must be positive, got {c10}")
+    if exponent <= 0.0:
+        raise ValueError(f"decay exponent must be positive, got {exponent}")
 
     def gap(t: float) -> float:
         return _crossing_gap(t, c10, c11, a, b, c, exponent)
 
     info = {"gap0": gap(0.0), "coefficients": coef}
-    if gap(0.0) < 0.0:
+    if info["gap0"] < 0.0:
         info["crossing"] = "immediate"
         return 0.0, info
 
-    lo, hi = 0.0, 1.0
-    while gap(hi) >= 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise NoCrossingError(
-                f"no crossing below t = {BRACKET_CAP:.0e}; the comparison "
-                f"never certifies breakdown for these constants"
-            )
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    t_star = hi
+    # q(t) = qa t^2 + qb t + qc, with qc = q(0) >= 0 up to rounding
+    kappa = (c11 / c10) ** (2.0 / exponent)
+    qa, qb, qc = kappa * a - 1.0, kappa * b - 2.0, max(kappa * c - 1.0, 0.0)
+    disc = qb * qb - 4.0 * qa * qc
+    window = math.inf
+    if qb < 0.0 and (qa < 0.0 or disc > 0.0):
+        # the smaller root; q is negative up to the larger one, if any
+        half = 0.5 * (math.sqrt(disc) - qb)
+        t_star = qc / half
+        if qa > 0.0:
+            window = half / qa - t_star
+    elif qa < 0.0:
+        # qb >= 0: q turns negative at its positive root and stays there
+        t_star = (qb + math.sqrt(disc)) / (-2.0 * qa)
+    else:
+        raise NoCrossingError("the decay curve stays above the inertia "
+                              "parabola for all t >= 0")
 
-    probe = gap(t_star + 1e-6)
+    probe = gap(t_star + min(1e-6, 0.5 * window))
     if not (probe < 0.0):
         raise RuntimeError(
-            f"postcheck failed: gap({t_star} + 1e-6) = {probe}, expected < 0"
+            f"postcheck failed: gap just past {t_star} = {probe}, expected < 0"
         )
     info["crossing"] = "interior"
     info["gap_after"] = probe

@@ -66,7 +66,6 @@ class QuantitySet:
     e_int: float
     e_pot: float
     e_total: float
-    int_rho_phi: float
     h_delta: float
     j_delta: float
 
@@ -97,8 +96,7 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
     e_int = pressure_int / (gamma - 1.0)
     e_pot = -0.5 * delta * int_rho_phi
     e_total = e_kin + e_int + e_pot
-    h = 2.0 * e_kin + n * (gamma - 1.0) * e_int \
-        - 0.5 * delta * (n - 2.0) * int_rho_phi
+    h = 2.0 * e_kin + n * (gamma - 1.0) * e_int + (n - 2.0) * e_pot
     tau = state.time + 1.0
 
     return QuantitySet(
@@ -110,7 +108,6 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
         e_int=e_int,
         e_pot=e_pot,
         e_total=e_total,
-        int_rho_phi=int_rho_phi,
         h_delta=h,
         j_delta=half_inertia - tau * momentum_weight + tau**2 * e_total,
     )

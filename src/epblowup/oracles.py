@@ -344,16 +344,14 @@ def _bump(r: np.ndarray, amp: float, center: float, width: float) -> np.ndarray:
     return amp * np.exp(-(((r - center) / width) ** 2))
 
 
-def build_corpus(randomized: int = 100) -> list[tuple[str, np.ndarray]]:
-    """Named reference densities plus seeded random Gaussian mixtures.
+def build_corpus() -> list[tuple[str, np.ndarray]]:
+    """22 named reference densities plus 100 seeded random Gaussian mixtures.
 
     All entries are nonnegative, not identically zero, and decay below the
     far-field tolerance on the shared corpus grid.  The randomized block is
-    reproducible: a fixed seed feeds a PCG64 generator.  A negative
-    randomized count raises ValueError.
+    reproducible: a fixed seed feeds a PCG64 generator, drawn in order, so
+    build_corpus()[:22 + k] holds the first k mixtures.
     """
-    if randomized < 0:
-        raise ValueError(f"randomized density count must be >= 0, got {randomized}")
     grid = corpus_grid()
     r = grid.centers
     corpus: list[tuple[str, np.ndarray]] = []
@@ -374,7 +372,7 @@ def build_corpus(randomized: int = 100) -> list[tuple[str, np.ndarray]]:
     corpus.append(("mix-broad", _bump(r, 0.2, 0.0, 2.0) + _bump(r, 1.5, 0.5, 0.4)))
 
     rng = np.random.default_rng(CORPUS_SEED)
-    for k in range(randomized):
+    for k in range(100):
         parts = rng.integers(1, 4)
         rho = np.zeros_like(r)
         for _ in range(parts):

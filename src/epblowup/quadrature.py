@@ -13,8 +13,10 @@ max(r, s)**(2-n), so a double radial sum with that kernel is exact in the
 angular variables and only the radial discretization error remains.  Because
 the cell centers are sorted, max(r_i, r_j) = r_i for every j < i, and the
 double sum folds into one prefix sum over the cells (see interaction_integral).
-integrate_radial also takes a stack of profiles (last axis = cells).  Every
-profile passes RadialGrid.check_profile (GridMismatchError, NonFiniteSampleError).
+integrate_radial contracts a profile, or a stack of them (last axis = cells),
+with one of the grid's two quadrature weight vectors, ShellGeometry.weights
+(midpoint) or ShellGeometry.simpson.  Every profile passes
+RadialGrid.check_profile (GridMismatchError, NonFiniteSampleError).
 """
 
 from __future__ import annotations
@@ -29,52 +31,33 @@ __all__ = [
 ]
 
 
-def _simpson_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    """Composite Simpson along the last axis, on at least three uniformly
-    spaced samples.
-
-    Even sample counts are handled by closing the final interval with the
-    parabola through the last three points.
-    """
-    if y.shape[-1] % 2 == 1:
-        core = y
-        extra = 0.0
-    else:
-        core = y[..., :-1]
-        extra = dx * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]) / 12.0
-    s = core[..., 0] + core[..., -1] + 4.0 * np.sum(core[..., 1:-1:2], axis=-1) \
-        + 2.0 * np.sum(core[..., 2:-2:2], axis=-1)
-    return dx / 3.0 * s + extra
-
-
 def integrate_radial(f: np.ndarray, grid: RadialGrid, n: int,
                      rule: str = "simpson") -> float | np.ndarray:
     """Integrate a cell-centered radial profile, or a stack of them, over R^n.
 
     f has shape (N,) or (..., N), one profile per row of the last axis;
     one profile gives a float, a stack an array of the leading shape, so
-    several integrals of one snapshot cost one check and one product.
+    several integrals of one snapshot cost one check and one contraction.
 
-    The midpoint rule weights each sample with the exact shell measure of
-    its cell.  The Simpson rule acts on f(r) * r**(n-1) across the centers
-    and closes the two boundary half-cells with the local power law, which
-    is exact at the origin where the integrand vanishes like r**(n-1).
-    Both rules are second order in the cell width.
+    Each rule is a weight vector of grid.geometry(n), built once per grid
+    and dimension.  The midpoint rule ("midpoint", the weights vector)
+    weights each sample with the exact shell measure of its cell.  The
+    Simpson rule ("simpson", the simpson vector) is composite Simpson on
+    f(r) * r**(n-1) across the centers, with the two boundary half-cells
+    closed against the exact measure.  Both rules are second order in the
+    cell width.  Every row is contracted on its own, so a stack gives each
+    row bit for bit what that row gives alone.
     """
     f = grid.check_profile(f)
-    surface = n * unit_ball_measure(n)
-
+    geo = grid.geometry(n)
     if rule == "midpoint":
-        out = surface * (f @ grid.shell_weights(n))
+        w = geo.weights
     elif rule == "simpson":
-        r = grid.centers
-        inner = _simpson_uniform(f * r ** (n - 1), grid.dr)
-        # Half-cells at both ends, integrated against the exact radial measure.
-        inner = inner + f[..., 0] * r[0] ** n / n
-        inner = inner + f[..., -1] * (grid.r_max**n - r[-1] ** n) / n
-        out = surface * inner
+        w = geo.simpson
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
+    # einsum sums each row alone; the blocking of f @ w depends on the stack
+    out = n * unit_ball_measure(n) * np.einsum("...i,i->...", f, w)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -272,7 +272,7 @@ def test_criterion_08_lifespan_root_finder(run_c1):
 def test_criterion_09_inequality_oracles():
     t0 = time.perf_counter()
     worst = {}
-    corpus = build_corpus(randomized=100)
+    corpus = build_corpus()
     for suite in ("hls", "hlp", "chemin", "split"):
         out = run_suite(suite, P53, corpus, c_hlp=CHLP)
         assert out["count"] >= 100
@@ -299,7 +299,7 @@ def test_criterion_10_cross_module_consistency():
     grid = corpus_grid()
     shell = grid.shell_weights(3)
     worst, worst_name = 0.0, ""
-    for name, rho in build_corpus(randomized=100):
+    for name, rho in build_corpus():
         phi = solve_potential(rho, grid, 3)
         direct = interaction_integral(rho, grid, 3)
         via_phi = -4.0 * math.pi * float(np.sum(rho * phi * shell))

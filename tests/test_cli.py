@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import epblowup
+from epblowup import cli
 from epblowup.cli import dispatch
 
 GAUSS_CFG = """
@@ -114,8 +115,7 @@ def test_simulate_requires_t_end(tmp_path, capsys):
 
 def test_verify_single_suite(gauss_cfg, capsys):
     code, payload, _ = run_json(
-        capsys, ["verify", gauss_cfg, "--suite", "chemin",
-                 "--randomized", "5"])
+        capsys, ["verify", gauss_cfg, "--suite", "chemin"])
     assert code == 0
     assert payload["all_margins_nonnegative"] is True
     suite = payload["suites"]["chemin"]
@@ -132,11 +132,13 @@ def test_verify_bounds_suite(gauss_cfg, capsys):
     assert bounds["count"] >= 2
 
 
-def test_verify_bounds_builds_no_corpus(gauss_cfg, capsys):
-    # the corpus count is read only when an oracle suite runs
+def test_verify_bounds_builds_no_corpus(gauss_cfg, capsys, monkeypatch):
+    # the corpus is built only when an oracle suite runs
+    def refuse():
+        raise AssertionError("the bounds suite built a corpus")
+    monkeypatch.setattr(cli, "build_corpus", refuse)
     code, payload, _ = run_json(
-        capsys, ["verify", gauss_cfg, "--suite", "bounds", "--t-end", "0.02",
-                 "--randomized", "-1"])
+        capsys, ["verify", gauss_cfg, "--suite", "bounds", "--t-end", "0.02"])
     assert code == 0
     assert list(payload["suites"]) == ["bounds"]
 
@@ -208,6 +210,7 @@ def test_usage_errors_exit_two(gauss_cfg, tmp_path, capsys):
     ["simulate", "{cfg}", "--cfl", "0.2"],
     ["verify", "{cfg}", "--cfl", "0.2"],
     ["verify", "{cfg}", "--full"],
+    ["verify", "{cfg}", "--randomized", "-5"],
 ])
 def test_removed_flags_exit_two(argv, gauss_cfg, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -251,7 +254,6 @@ BAD_INPUTS = [
     ("check", "grid.r_max = inf", []),
     ("simulate", "solver.t_end = inf", []),
     ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),
-    ("verify", "chlp = 3.0", ["--randomized", "-5"]),
     # not a config key: the density floor is fixed
     ("simulate", "solver.density_floor = 1e-14", []),
 ]

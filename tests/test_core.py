@@ -160,6 +160,8 @@ def test_geometry_is_cached_read_only_and_invisible():
         assert g.shell_weights(n) is w
         with pytest.raises(ValueError):
             w[0] = 1.0
+        with pytest.raises(ValueError):
+            g.geometry(n).simpson[0] = 1.0
     other = RadialGrid(8.0, 1024)
     assert g == other and hash(g) == hash(other)
     assert repr(g) == repr(other) == "RadialGrid(r_max=8.0, cells=1024)"

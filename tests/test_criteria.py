@@ -167,6 +167,18 @@ def test_lifespan_interior_crossing_closed_form():
     assert info["gap_after"] < 0.0
 
 
+def test_lifespan_finds_a_short_negative_window():
+    # gap < 0 exactly where (t - 0.3)(t - 0.6) < 0: sampling t = 1, 2, 4, ...
+    # steps over the window, the closed form does not
+    t_star, info = lifespan_bound(
+        make_table(),
+        coefficients={"C10": 1.0, "C11": 1.0, "a": 2.0, "b": 1.1, "c": 1.18,
+                      "exponent": 2.0})
+    assert t_star == pytest.approx(0.3, abs=1e-12)
+    assert info["crossing"] == "interior"
+    assert info["gap_after"] < 0.0
+
+
 def test_lifespan_no_crossing():
     # 5/(t+1)^2 > 1/(t^2+1) for all t >= 0 (4t^2 - 2t + 4 > 0)
     with pytest.raises(NoCrossingError):
@@ -185,6 +197,8 @@ def test_lifespan_validation():
         lifespan_bound(make_table(), coefficients={"C10": 0.0})
     with pytest.raises(ValueError):
         lifespan_bound(make_table(c2=None), certificate="2.1iii")
+    with pytest.raises(ValueError):
+        lifespan_bound(make_table(), coefficients={"exponent": 0.0})
 
 
 def test_verdict_json_contract():

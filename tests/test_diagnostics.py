@@ -14,6 +14,8 @@ from epblowup.diagnostics import (
     series_csv,
     write_series_csv,
 )
+from epblowup.poisson import solve_potential
+from epblowup.quadrature import integrate_radial
 
 P3 = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
 
@@ -40,7 +42,9 @@ def test_quantity_values_against_closed_forms():
         1.5 * (3.0 / 5.0) ** 1.5 * math.pi**1.5, rel=1e-4)
     # attractive: e_pot = +(1/2) int rho phi < 0 here
     assert q.e_pot < 0.0
-    assert q.e_pot == pytest.approx(0.5 * q.int_rho_phi, rel=1e-12)
+    int_rho_phi = integrate_radial(st.rho * solve_potential(st.rho, g, 3), g, 3,
+                                   "midpoint")
+    assert q.e_pot == pytest.approx(0.5 * int_rho_phi, rel=1e-12)
     assert q.e_total == pytest.approx(q.e_kin + q.e_int + q.e_pot, rel=1e-12)
 
 
@@ -71,8 +75,10 @@ def test_cauchy_schwarz_margin_and_equality():
 def test_functional_identities():
     st, g = make_state(velocity_alpha=0.5)
     q = compute_quantities(st, g, P3)
+    int_rho_phi = integrate_radial(st.rho * solve_potential(st.rho, g, 3), g, 3,
+                                   "midpoint")
     expect = 2.0 * q.e_kin + 3.0 * (P3.gamma - 1.0) * q.e_int \
-        - 0.5 * P3.delta * q.int_rho_phi
+        - 0.5 * P3.delta * int_rho_phi
     assert q.h_delta == pytest.approx(expect, rel=1e-12)
     # parabola moments at t = 0 (tau = 1)
     assert q.j_delta == pytest.approx(
@@ -88,7 +94,7 @@ def test_rates_recover_polynomial_series():
         qs.append(diag.QuantitySet(
             time=t, mass=1.0, momentum_weight=2.0 + 6.0 * t,
             half_inertia=1.0 + 2.0 * t + 3.0 * t**2,
-            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0,
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0,
             h_delta=0.0, j_delta=0.0))
     rates = finite_difference_rates(qs, fields=("half_inertia",))
     mid_f = np.array([q.momentum_weight for q in qs[1:-1]])
@@ -101,7 +107,7 @@ def test_rates_reject_ragged_sampling():
     for t in (0.0, 0.1, 0.25):
         qs.append(diag.QuantitySet(
             time=t, mass=1.0, momentum_weight=0.0, half_inertia=0.0,
-            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0, int_rho_phi=0.0,
+            e_kin=0.0, e_int=0.0, e_pot=0.0, e_total=0.0,
             h_delta=0.0, j_delta=0.0))
     with pytest.raises(NonuniformSpacingError):
         finite_difference_rates(qs, ("mass",))

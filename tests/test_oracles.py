@@ -87,14 +87,14 @@ def test_radial_fourier_matches_direct_sum(cells):
 def test_suite_matches_single_density_checks(suite, expect):
     # the suite scores the corpus as one stack, the verify_* calls one
     # density at a time: same names, lhs, rhs and details, bit for bit
-    corpus = build_corpus(randomized=5)
+    corpus = build_corpus()[:22 + 5]
     out = run_suite(suite, P3, corpus, c_hlp=CHLP)
     reports = [rep.to_json_dict() for rep in expect(corpus, corpus_grid())]
     assert out["reports"] == reports
 
 
 def test_hlp_suite_matches_single_density_checks():
-    corpus = build_corpus(randomized=5)
+    corpus = build_corpus()[:22 + 5]
     out = run_suite("hlp", P3, corpus, c_hlp=CHLP)
     grid = corpus_grid()
     expect = [verify_hlp(rho, grid, p, CHLP, label=f"{name}-p{p:.4g}")
@@ -158,8 +158,8 @@ def test_split_inequality_across_epsilon():
 
 
 def test_corpus_is_deterministic_and_big_enough():
-    c1 = build_corpus(randomized=100)
-    c2 = build_corpus(randomized=100)
+    c1 = build_corpus()
+    c2 = build_corpus()
     assert len(c1) >= 100
     assert [name for name, _ in c1] == [name for name, _ in c2]
     for (_, a), (_, b) in zip(c1, c2):
@@ -171,7 +171,7 @@ def test_corpus_is_deterministic_and_big_enough():
 
 
 def test_run_suite_reports_worst_margin():
-    corpus = build_corpus(randomized=10)
+    corpus = build_corpus()[:22 + 10]
     out = run_suite("chemin", P3, corpus, c_hlp=CHLP)
     assert out["count"] >= 10
     assert out["worst_rel_margin"] >= -1e-8

@@ -46,10 +46,43 @@ def test_simpson_needs_odd_samples_handled():
     assert out == pytest.approx(4.0 * math.pi / 3.0 * 64.0, rel=1e-6)
 
 
+def _simpson_written_out(f, grid, n):
+    # composite Simpson on f(r) r**(n-1) across the centers, an even sample
+    # count closed by the parabola through the last three samples, and the
+    # half cells at both ends against the exact measure
+    r, dx = grid.centers, grid.dr
+    y = f * r ** (n - 1)
+    if y.shape[-1] % 2 == 1:
+        core, extra = y, 0.0
+    else:
+        core = y[..., :-1]
+        extra = dx * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]) / 12.0
+    inner = dx / 3.0 * (core[..., 0] + core[..., -1]
+                        + 4.0 * np.sum(core[..., 1:-1:2], axis=-1)
+                        + 2.0 * np.sum(core[..., 2:-2:2], axis=-1)) + extra
+    inner = inner + f[..., 0] * r[0] ** n / n
+    inner = inner + f[..., -1] * (grid.r_max**n - r[-1] ** n) / n
+    return n * unit_ball_measure(n) * inner
+
+
+@pytest.mark.parametrize("cells", [8, 9, 64, 1000, 1024, 2048])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_simpson_weights_match_the_composite_rule(n, cells):
+    g = RadialGrid(8.0, cells)
+    rng = np.random.default_rng(cells + 10 * n)
+    profile = np.exp(-g.centers**2)
+    stack = rng.uniform(0.0, 2.0, (3, 4, cells))
+    assert integrate_radial(profile, g, n) == pytest.approx(
+        _simpson_written_out(profile, g, n), rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(integrate_radial(stack, g, n),
+                               _simpson_written_out(stack, g, n),
+                               rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("rule", ["simpson", "midpoint"])
 def test_stack_matches_rows(rule):
-    # a stack along the last axis gives each row's own integral; the
-    # midpoint rule's matrix product may round differently from a dot
+    # a stack along the last axis gives each row's own integral, bit for
+    # bit: the contraction rounds row by row
     g = RadialGrid(8.0, 1024)
     r = g.centers
     stack = np.array([np.exp(-r**2), (r < 1.0).astype(float),
@@ -58,9 +91,9 @@ def test_stack_matches_rows(rule):
     assert all(type(value) is float for value in rows)
     out = integrate_radial(stack, g, 3, rule)
     assert out.shape == (4,)
-    np.testing.assert_allclose(out, rows, rtol=1e-15, atol=0.0)
+    assert out.tolist() == rows
     deep = integrate_radial(stack.reshape(2, 2, -1), g, 3, rule)
-    np.testing.assert_allclose(deep.reshape(-1), rows, rtol=1e-15, atol=0.0)
+    assert deep.reshape(-1).tolist() == rows
 
 
 def test_interaction_ball_closed_form():
