@@ -8,9 +8,7 @@ from .core import (ConfigError, GridMismatchError, ModelParams,
                    RadialGrid, RadialState, RunSetup, TailViolationError,
                    build_profile, parse_config, parse_config_text,
                    recover_entropy, unit_ball_measure)
-from .criteria import (NoCrossingError, Verdict, WrongRegimeError, check_all,
-                       check_ep_attractive, check_iep_attractive,
-                       check_iep_repulsive, lifespan_bound)
+from .criteria import NoCrossingError, Verdict, check_all, lifespan_bound
 from .diagnostics import (NonuniformSpacingError, QuantitySet,
                           compute_quantities, finite_difference_rates,
                           series_csv, write_series_csv)

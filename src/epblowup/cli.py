@@ -56,6 +56,8 @@ def _cmd_check(args) -> int:
         line = f"{v.certificate}: {status}"
         if v.lifespan is not None:
             line += f" (breakdown by t = {v.lifespan:.6g})"
+        elif "lifespan_note" in v.details:
+            line += " (no crossing)"
         sys.stderr.write(line + "\n")
     return 0 if any(v.satisfied for v in verdicts) else 1
 

@@ -275,7 +275,8 @@ def build_table(state, grid, params, c_hlp: float = 1.0) -> ConstantsTable:
     except InfeasibleExponentError as exc:
         c2, c2_branch = None, None
         notes.append(f"C2 unavailable: {exc}")
-    if c_hlp == 1.0:
+    # only the low-gamma branch of C2 carries a C_HLP factor
+    if c_hlp == 1.0 and c2_branch == "low-gamma":
         notes.append(
             "C_HLP left at the default 1.0; the Fourier-side constant is "
             "not pinned by theory, so C2-derived certificates are only as "

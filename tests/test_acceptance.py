@@ -15,7 +15,7 @@ import pytest
 
 from epblowup.constants import build_table
 from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile, parse_config
-from epblowup.criteria import check_all, check_ep_attractive, lifespan_bound
+from epblowup.criteria import check_all, lifespan_bound
 from epblowup.diagnostics import compute_quantities, finite_difference_rates
 from epblowup.oracles import build_corpus, corpus_grid, run_suite, verify_chemin
 from epblowup.poisson import laplacian_residual, solve_potential
@@ -215,7 +215,7 @@ def test_criterion_07_ball_certificate():
     _, _, table = prepared(ball, 2048, mode="EP")
     exact = 2.0 * math.pi - 16.0 * math.pi**2 / 15.0
     err = abs(table.c7 - exact)
-    verdicts = {v.certificate: v for v in check_ep_attractive(table)}
+    verdicts = {v.certificate: v for v in check_all(table)}
     ok = err <= 1e-3 and verdicts["2.3i"].satisfied
     record(7, ok, f"uniform-ball C7 = {table.c7:.6f} vs 2pi - 16pi^2/15 "
                   f"(|err| {err:.2e} <= 1e-3); certificate 2.3i satisfied")
@@ -234,15 +234,14 @@ def test_criterion_08_lifespan_root_finder(run_c1):
     checks = []
 
     # the reference synthetic set crosses at once
-    t0, info0 = lifespan_bound(table, coefficients={
-        "C10": 2.0, "C11": 1.0, "a": 1.0, "b": 0.0, "c": 1.0,
-        "exponent": 2.0})
+    t0, info0 = lifespan_bound(C10=2.0, C11=1.0, a=1.0, b=0.0, c=1.0,
+                               exponent=2.0)
     checks.append(t0 == 0.0 and info0["crossing"] == "immediate")
 
     # interior crossing against its closed form, with sign probes
     co = {"C10": 0.5, "C11": 1.0, "a": 0.2, "b": 0.0, "c": 1.0,
           "exponent": 2.0}
-    t1, _ = lifespan_bound(table, coefficients=co)
+    t1, _ = lifespan_bound(**co)
     exact = (-1.0 + math.sqrt(1.6)) / 0.6
     checks.append(abs(t1 - exact) <= 1e-7)
     checks.append(_gap(t1 + 1e-6, co) < 0.0)
@@ -255,9 +254,9 @@ def test_criterion_08_lifespan_root_finder(run_c1):
     checks.append(_gap(verdict.lifespan + 1e-6, real_co) < 0.0)
 
     # monotonicity: later crossing for smaller C10 / larger C11
-    t_c10 = [lifespan_bound(table, coefficients={**co, "C10": v})[0]
+    t_c10 = [lifespan_bound(**{**co, "C10": v})[0]
              for v in (0.3, 0.45, 0.6, 0.8, 0.95)]
-    t_c11 = [lifespan_bound(table, coefficients={**co, "C11": v})[0]
+    t_c11 = [lifespan_bound(**{**co, "C11": v})[0]
              for v in (0.7, 0.85, 1.0, 1.15, 1.3)]
     checks.append(all(x > y for x, y in zip(t_c10, t_c10[1:])))
     checks.append(all(x < y for x, y in zip(t_c11, t_c11[1:])))

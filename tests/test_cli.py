@@ -91,6 +91,34 @@ def test_check_exit_one_when_nothing_satisfied(tmp_path, capsys):
     assert "2.2: not applicable" in captured.err
 
 
+NO_CROSSING_CFG = """
+mode = IEP
+kind = gaussian
+amplitude = 3.0
+width = 1.0
+model.n = 4
+model.gamma = 1.5
+model.delta = 1
+grid.r_max = 8.0
+grid.cells = 512
+"""
+
+
+def test_check_decay_without_crossing_exits_one(tmp_path, capsys):
+    # C10 beats the 2.2 threshold 2**(E/2) C11, but the exact solve finds no
+    # crossing: a decay certificate without a time is not satisfied
+    path = tmp_path / "nocross.cfg"
+    path.write_text(NO_CROSSING_CFG)
+    code, payload, err = run_json(capsys, ["check", str(path)])
+    assert code == 1
+    (v,) = payload["verdicts"]
+    assert v["certificate"] == "2.2" and v["applicable"]
+    assert v["details"]["C10"] > v["details"]["threshold"]
+    assert not v["satisfied"] and v["lifespan"] is None
+    assert "lifespan_note" in v["details"]
+    assert "2.2: not satisfied (no crossing)" in err
+
+
 def test_simulate_writes_csv(gauss_cfg, capsys, tmp_path):
     out = tmp_path / "series.csv"
     code, summary, _ = run_json(

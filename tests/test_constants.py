@@ -159,6 +159,18 @@ def test_default_chlp_carries_caveat():
     assert not any("default 1.0" in note for note in tab3.notes)
 
 
+@pytest.mark.parametrize("gamma", [1.2, 2.0, 2.5])
+def test_default_chlp_caveat_only_where_c2_uses_it(gamma):
+    # C2 has a C_HLP factor only on its low-gamma branch: at gamma >= 2 it
+    # has none, and at gamma = 1.2 (n = 3) C2 is unavailable
+    params = ModelParams(n=3, gamma=gamma, delta=-1)
+    grid = RadialGrid(8.0, 128)
+    st = build_profile(ProfileSpec(kind="gaussian"), grid, params)
+    tab = build_table(st, grid, params)
+    assert tab.c2_branch != "low-gamma"
+    assert not any("C_HLP" in note for note in tab.notes)
+
+
 def test_infeasible_interpolation_reported_in_notes():
     # C1 has one gate, minimize_hls's gamma > 2n/(n+2); below it theta =
     # (n-2) gamma / (n (gamma-1)) would reach 2

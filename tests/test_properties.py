@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epblowup.constants import ConstantsTable
 from epblowup.core import ModelParams, RadialGrid, RadialState
 from epblowup.criteria import NoCrossingError, lifespan_bound
 from epblowup.diagnostics import compute_quantities
@@ -84,18 +83,9 @@ def test_chemin_ratio_dilation_invariant(rho_nodes, n, lam, gamma):
         base.lhs / base.rhs, rel=1e-10)
 
 
-TABLE = ConstantsTable(
-    n=3, gamma=1.5, delta=-1, mode="IEP", mass=1.0,
-    omega_n=4.0 * math.pi / 3.0, s1=0.0, c_hlp=3.0,
-    c0=0.2, c1=1.0, c2=0.4, c3=-1.0, c4=0.4, c5=0.6,
-    c6=1.0, c7=1.0, c8=1.0, c9=1.0, c10=2.0, c11=1.0,
-    theta=0.75, f0=-0.5, g0=1.0,
-)
-
-
 def crossing(coefficients) -> float:
     try:
-        return lifespan_bound(TABLE, coefficients=coefficients)[0]
+        return lifespan_bound(**coefficients)[0]
     except NoCrossingError:
         return math.inf
 
