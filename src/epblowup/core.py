@@ -116,8 +116,9 @@ class ShellGeometry:
     With r the cell centers and r_in, r_out the inner and outer cell edges:
     weights = (r_out**n - r_in**n) / n, areas = edges**(n-1) (one per face),
     area_jumps = a_out - a_in, inner_cut = r**n - r_in**n,
-    shell_sq = r_out**2 - r_in**2, outer_cut = r_out**2 - r**2 and
-    far_power = r**(2-n).  weights (midpoint) and simpson are the two
+    shell_sq = r_out**2 - r_in**2, outer_cut = r_out**2 - r**2,
+    far_power = r**(2-n) and center_areas = r**(n-1), the face-area power
+    at the centers.  weights (midpoint) and simpson are the two
     quadrature rules for int_0^rmax f(r) r**(n-1) dr = f @ rule: simpson is
     composite Simpson on f r**(n-1) across the centers, an even count closed
     by (-1, 8, 5) dr / 12 on the last three samples, plus both half cells
@@ -131,6 +132,7 @@ class ShellGeometry:
     shell_sq: np.ndarray
     outer_cut: np.ndarray
     far_power: np.ndarray
+    center_areas: np.ndarray
     simpson: np.ndarray
 
     @classmethod
@@ -155,6 +157,7 @@ class ShellGeometry:
             edges_out**2 - edges_in**2,
             edges_out**2 - r**2,
             r ** (2.0 - n),
+            r ** (n - 1.0),
             simpson,
         )
         for arr in arrays:

@@ -77,18 +77,27 @@ def compute_quantities(state: RadialState, grid: RadialGrid,
 
     The potential energy takes the potential of state.rho from one
     solve_potential call, and the six integrals are one integrate_radial
-    call on their stacked integrands.  Uses the midpoint rule: cell samples
-    are treated as shell averages, which matches the finite-volume data
-    model (cell mass is reproduced exactly) and keeps discontinuous
-    profiles like uniform balls at full accuracy.
+    call on one (6, N) block of their integrands, filled row by row.  Uses
+    the midpoint rule: cell samples are treated as shell averages, which
+    matches the finite-volume data model (cell mass is reproduced exactly)
+    and keeps discontinuous profiles like uniform balls at full accuracy.
     """
     n, gamma, delta = params.n, params.gamma, params.delta
     r = grid.centers
     rho, u = state.rho, state.u_r
 
     phi = solve_potential(rho, grid, n)
-    integrands = np.stack((rho, rho * u * r, rho * r**2, rho * u**2, state.p,
-                           rho * phi))
+    # rows: rho, rho u r, rho r**2, rho u**2, p and rho phi
+    integrands = np.empty((6, grid.cells))
+    integrands[0] = rho
+    np.multiply(rho, u, out=integrands[1])
+    integrands[1] *= r
+    np.multiply(r, r, out=integrands[2])
+    integrands[2] *= rho
+    np.multiply(u, u, out=integrands[3])
+    integrands[3] *= rho
+    integrands[4] = state.p
+    np.multiply(rho, phi, out=integrands[5])
     mass, momentum_weight, inertia, twice_e_kin, pressure_int, int_rho_phi = \
         integrate_radial(integrands, grid, n, "midpoint").tolist()
     half_inertia = 0.5 * inertia

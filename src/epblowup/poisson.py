@@ -27,10 +27,15 @@ __all__ = [
 
 
 def _inner_moment(rho: np.ndarray, geo: ShellGeometry, n: int) -> np.ndarray:
-    """int_0^r s**(n-1) rho ds, cut at each cell center."""
-    whole_in = rho * geo.weights
-    inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
-    return inner + rho * geo.inner_cut / n
+    """int_0^r s**(n-1) rho ds, cut at each cell center (a fresh array)."""
+    # whole shells strictly inside each center, then the cut of its own cell
+    inner = np.empty_like(rho)
+    inner[0] = 0.0
+    np.cumsum(rho[:-1] * geo.weights[:-1], out=inner[1:])
+    own = rho * geo.inner_cut
+    own /= n
+    inner += own
+    return inner
 
 
 def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
@@ -43,15 +48,24 @@ def solve_potential(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """
     rho = grid.check_profile(rho, "density", ndim=1)
     geo = grid.geometry(n)
-    inner = _inner_moment(rho, geo, n)
+    phi = _inner_moment(rho, geo, n)
 
-    # outer moment: int_r^rmax s rho ds, also cut at each cell center
-    whole_out = rho * geo.shell_sq / 2.0
-    outer = np.concatenate((np.cumsum(whole_out[::-1])[::-1][1:], [0.0]))
-    outer = outer + rho * geo.outer_cut / 2.0
+    # outer moment: int_r^rmax s rho ds over the whole shells strictly
+    # outside each center, summed from the edge inwards, then the own cut
+    whole_out = rho * geo.shell_sq
+    whole_out /= 2.0
+    outer = np.empty_like(rho)
+    outer[-1] = 0.0
+    np.cumsum(whole_out[:0:-1], out=outer[-2::-1])
+    own = rho * geo.outer_cut
+    own /= 2.0
+    outer += own
 
     surface = n * unit_ball_measure(n)
-    return -surface * (geo.far_power * inner + outer)
+    phi *= geo.far_power
+    phi += outer
+    phi *= -surface
+    return phi
 
 
 def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
@@ -67,8 +81,11 @@ def enclosed_weight_force(rho: np.ndarray, grid: RadialGrid, n: int) -> np.ndarr
     edge is a cell edge.
     """
     rho = grid.check_profile(rho, "density", ndim=1)
-    inner = _inner_moment(rho, grid.geometry(n), n)
-    return n * (n - 2.0) * unit_ball_measure(n) * inner / grid.centers ** (n - 1.0)
+    geo = grid.geometry(n)
+    force = _inner_moment(rho, geo, n)
+    force *= n * (n - 2.0) * unit_ball_measure(n)
+    force /= geo.center_areas
+    return force
 
 
 def laplacian_residual(rho: np.ndarray, phi: np.ndarray, grid: RadialGrid,

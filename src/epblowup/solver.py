@@ -25,6 +25,20 @@ The momentum source splits into the well-balanced geometric part
 p (a_out - a_in) / w -- which cancels the flux of a uniform pressure
 exactly -- and the interaction force delta rho dPhi/dr.
 
+Buffers.  A step's cost at desk sizes is the count of numpy calls, not the
+arithmetic, so each stage fills blocks allocated fresh in its own call --
+the conserved rows, the cell primitives, the face states and fluxes, the
+divergence -- with out= and in-place ufuncs, rather than stacking or
+np.where-copying temporaries.  Three rules hold throughout:
+  - no function writes into its inputs (the state's arrays, _rhs's U, a
+    density); _clean alone works in place, on the block its caller filled;
+  - nothing is kept between calls: no module-level or per-grid workspace;
+  - each element goes through the operations of the formula written in
+    the comments, in its order: operands may swap (b*a for a*b, or x *= b),
+    but nothing is reassociated, x**2 is only ever x*x, and a division
+    stays a division.  The results are therefore bit for bit those of the
+    plain expressions.
+
 Runs stop early on positivity failure, on a CFL collapse of the time
 step, or when max |d(u_r)/dr| exceeds a thousand times its initial scale
 (steepening detector).
@@ -147,11 +161,18 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 def _conserved(state: RadialState, params: ModelParams) -> np.ndarray:
-    """The state's conserved rows (rho, rho u), plus E in EP mode."""
-    rows = [state.rho, state.rho * state.u_r]
+    """The state's conserved rows (rho, rho u), plus E in EP mode, as one
+    fresh block."""
+    rho, u = state.rho, state.u_r
+    U = np.empty((3 if state.mode == "EP" else 2, len(rho)))
+    U[0] = rho
+    np.multiply(rho, u, out=U[1])
     if state.mode == "EP":
-        rows.append(state.p / (params.gamma - 1.0) + 0.5 * state.rho * state.u_r**2)
-    return np.stack(rows)
+        # E = p / (gamma - 1) + (0.5 rho) u**2
+        e = np.multiply(u, u, out=U[2])
+        e *= 0.5 * rho
+        e += state.p / (params.gamma - 1.0)
+    return U
 
 
 def _clean(U: np.ndarray, gamma: float) -> np.ndarray:
@@ -167,35 +188,66 @@ def _clean(U: np.ndarray, gamma: float) -> np.ndarray:
     """
     floor = _DENSITY_FLOOR
     rho = np.maximum(U[0], floor, out=U[0])
-    wet = rho > 10.0 * floor
-    U[1] = np.where(wet, U[1], 0.0)
+    # a nan density is not wet, so it counts as vacuum
+    vacuum = ~(rho > 10.0 * floor)
+    np.copyto(U[1], 0.0, where=vacuum)
     if len(U) == 3:
-        e_min = 1e-12 * rho**gamma / (gamma - 1.0)
-        U[2] = np.where(wet, np.maximum(U[2], 0.5 * U[1]**2 / rho + e_min), e_min)
+        # e_min = 1e-12 rho**gamma / (gamma - 1); wet cells keep
+        # E >= 0.5 mom**2 / rho + e_min, vacuum cells take e_min
+        e_min = rho**gamma
+        e_min *= 1e-12
+        e_min /= gamma - 1.0
+        e_floor = np.multiply(U[1], U[1])
+        e_floor *= 0.5
+        e_floor /= rho
+        e_floor += e_min
+        np.maximum(U[2], e_floor, out=U[2])
+        np.copyto(U[2], e_min, where=vacuum)
     return U
 
 
 def _primitives(U: np.ndarray, gamma: float):
-    """Velocity, recovered pressure and sound speed of clean conserved rows.
+    """Cell primitives of clean conserved rows as one fresh (3, N) block
+    (rho, u, p), and the sound speed c.
 
     The pressure is returned as recovered, so a negative value stays
     visible; the sound speed takes its non-negative part.
     """
     rho, mom = U[0], U[1]
-    u = mom / rho
+    prim = np.empty((3, U.shape[1]))
+    prim[0] = rho
+    np.divide(mom, rho, out=prim[1])
+    p = prim[2]
     if len(U) == 3:
-        p = (gamma - 1.0) * (U[2] - 0.5 * mom**2 / rho)
+        # p = (gamma - 1) (E - 0.5 mom**2 / rho)
+        np.multiply(mom, mom, out=p)
+        p *= 0.5
+        p /= rho
+        np.subtract(U[2], p, out=p)
+        p *= gamma - 1.0
     else:
-        p = rho**gamma
-    c = np.sqrt(gamma * np.maximum(p, 0.0) / rho)
-    return u, p, c
+        p[:] = rho**gamma
+    # c = sqrt(gamma max(p, 0) / rho)
+    c = np.maximum(p, 0.0)
+    c *= gamma
+    c /= rho
+    np.sqrt(c, out=c)
+    return prim, c
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """The slope of smaller magnitude where a and b share a strict sign,
-    else +0.0 (also where either is nan)."""
-    # fmax/fmin map nan to 0; adding +0.0 turns a -0.0 sum into +0.0
-    return np.fmax(np.minimum(a, b), 0.0) + np.fmin(np.maximum(a, b), 0.0) + 0.0
+    else +0.0 (also where either is nan); written into out when given."""
+    # fmax/fmin map nan to 0; adding +0.0 turns a -0.0 sum into +0.0.
+    # The upper part comes first, so out may alias a or b.
+    upper = np.maximum(a, b)
+    np.fmin(upper, 0.0, out=upper)
+    lower = np.minimum(a, b, out=out)
+    np.fmax(lower, 0.0, out=lower)
+    lower += upper
+    lower += 0.0
+    return lower
 
 
 def _reconstruct(v: np.ndarray) -> np.ndarray:
@@ -208,8 +260,9 @@ def _reconstruct(v: np.ndarray) -> np.ndarray:
     faces = np.empty((2, rows * cells))
     left, right = faces
     d = flat[1:] - flat[:-1]
-    half = np.zeros_like(flat)
-    half[1:-1] = 0.5 * _minmod(d[:-1], d[1:])
+    half = np.empty_like(flat)
+    _minmod(d[:-1], d[1:], out=half[1:-1])
+    half[1:-1] *= 0.5
     # no slope in the first and last cell of each row
     half[::cells] = 0.0
     half[cells - 1::cells] = 0.0
@@ -225,41 +278,74 @@ def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams):
     """Time derivative of the clean conserved rows U, and the largest cell
     signal speed |u| + c."""
     gamma, n = params.gamma, params.n
+    rows, cells = U.shape
     rho = U[0]
-    u, p, c = _primitives(U, gamma)
-    p = np.maximum(p, 0.0)
+    # the pressure is clamped at zero for the faces and the source
+    prim, c = _primitives(U, gamma)
+    u, p = prim[1], prim[2]
+    np.maximum(p, 0.0, out=p)
+    c += np.abs(u)
+    speed = float(c.max())
 
-    # every face quantity below is a (2, ...) pair of left and right states
-    faces = _reconstruct(np.stack((rho, u, p)))
+    # every face quantity below is a (2, ...) pair of left and right
+    # states; half_s = 0.5 max(signal_l, signal_r)
+    faces = _reconstruct(prim)
     rho_f, u_f, p_f = faces[:, 0], faces[:, 1], faces[:, 2]
     np.maximum(p_f, 0.0, out=p_f)
     np.maximum(rho_f, _DENSITY_FLOOR, out=rho_f)
-    speed_l, speed_r = np.abs(u_f) + np.sqrt(gamma * p_f / rho_f)
-    half_s = 0.5 * np.maximum(speed_l, speed_r)
+    signal_f = np.multiply(p_f, gamma)
+    signal_f /= rho_f
+    np.sqrt(signal_f, out=signal_f)
+    signal_f += np.abs(u_f)
+    half_s = np.maximum(signal_f[0], signal_f[1])
+    half_s *= 0.5
 
-    mom_f = rho_f * u_f
-    states = [rho_f, mom_f]
-    fluxes = [mom_f, mom_f * u_f + p_f]
-    if len(U) == 3:
-        e_f = p_f / (gamma - 1.0) + 0.5 * rho_f * u_f**2
-        states.append(e_f)
-        fluxes.append((e_f + p_f) * u_f)
-    (U_l, U_r), (F_l, F_r) = np.stack(states, 1), np.stack(fluxes, 1)
-    # Rusanov flux over all rows at once
-    flux = 0.5 * (F_l + F_r) - half_s * (U_r - U_l)
+    # conserved face states (rho, mom, E) and their fluxes
+    # (mom, mom u + p, (E + p) u), one (2, rows, N) block each, with
+    # mom = rho u and E = p / (gamma - 1) + (0.5 rho) u**2
+    states = np.empty((2, rows, cells))
+    fluxes = np.empty((2, rows, cells))
+    states[:, 0] = rho_f
+    mom_f = np.multiply(rho_f, u_f, out=states[:, 1])
+    fluxes[:, 0] = mom_f
+    np.multiply(mom_f, u_f, out=fluxes[:, 1])
+    fluxes[:, 1] += p_f
+    if rows == 3:
+        e_f = np.multiply(u_f, u_f, out=states[:, 2])
+        e_f *= 0.5 * rho_f
+        e_f += p_f / (gamma - 1.0)
+        np.add(e_f, p_f, out=fluxes[:, 2])
+        fluxes[:, 2] *= u_f
 
-    # metric factors: face areas r**(n-1) (zero at the origin) and exact
-    # shell volumes; the origin face needs no flux at all
+    # Rusanov flux 0.5 (F_l + F_r) - half_s (U_r - U_l) over all rows at
+    # once, times the face areas r**(n-1) (zero at the origin); the origin
+    # face needs no flux at all
     geo = grid.geometry(n)
     w = geo.weights
-    area_flux = np.zeros((len(U), grid.cells + 1))
-    np.multiply(geo.areas[1:], flux, out=area_flux[:, 1:])
-    dU = -(area_flux[:, 1:] - area_flux[:, :-1]) / w
-    # well-balanced geometric source: cancels the area difference of a
-    # uniform pressure exactly
-    dU[1] += p * geo.area_jumps / w
-    dU[1] += params.delta * rho * enclosed_weight_force(rho, grid, n)
-    return dU, float((np.abs(u) + c).max())
+    area_flux = np.empty((rows, cells + 1))
+    area_flux[:, 0] = 0.0
+    flux = np.add(fluxes[0], fluxes[1], out=area_flux[:, 1:])
+    flux *= 0.5
+    jump = np.subtract(states[1], states[0], out=states[1])
+    jump *= half_s
+    flux -= jump
+    flux *= geo.areas[1:]
+
+    # divergence -(a_out flux_out - a_in flux_in) / w over the exact shell
+    # volumes w
+    dU = np.subtract(area_flux[:, 1:], area_flux[:, :-1])
+    np.negative(dU, out=dU)
+    dU /= w
+    # well-balanced geometric source p (a_out - a_in) / w: cancels the area
+    # difference of a uniform pressure exactly; then the interaction force
+    # (delta rho) dPhi/dr
+    source = np.multiply(p, geo.area_jumps)
+    source /= w
+    dU[1] += source
+    force = np.multiply(rho, params.delta)
+    force *= enclosed_weight_force(rho, grid, n)
+    dU[1] += force
+    return dU, speed
 
 
 def step(state: RadialState, grid: RadialGrid, params: ModelParams,
@@ -280,12 +366,22 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     if cfg.fixed_dt is None:
         dt = min(dt, dt_cfl)
 
-    U1 = _clean(U0 + dt * dU0, gamma)
+    # U1 = U0 + dt dU0, filled into dU0's block
+    U1 = dU0
+    U1 *= dt
+    U1 += U0
+    _clean(U1, gamma)
     dU1, _ = _rhs(U1, grid, params)
-    U2 = _clean(0.5 * (U0 + U1 + dt * dU1), gamma)
+    # U2 = (U0 + U1 + dt dU1) / 2, filled into U1's block
+    dU1 *= dt
+    U2 = U1
+    U2 += U0
+    U2 += dU1
+    U2 *= 0.5
+    _clean(U2, gamma)
 
-    u, p, _ = _primitives(U2, gamma)
-    new = RadialState(rho=U2[0], u_r=u, p=p, mode=state.mode,
+    prim, _ = _primitives(U2, gamma)
+    new = RadialState(rho=U2[0], u_r=prim[1], p=prim[2], mode=state.mode,
                       time=state.time + dt)
     ok = bool(np.isfinite(new.rho).all() and np.isfinite(new.u_r).all()
               and np.isfinite(new.p).all() and (new.p >= 0.0).all())
@@ -293,7 +389,14 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
 
 
 def _max_grad(state: RadialState, grid: RadialGrid, rho_scale: float) -> float:
-    du = np.gradient(state.u_r, grid.dr)
+    # np.gradient's uniform-spacing formulas: central differences inside,
+    # one-sided ones in the first and last cell
+    u, dr = state.u_r, grid.dr
+    du = np.empty_like(u)
+    np.subtract(u[2:], u[:-2], out=du[1:-1])
+    du[1:-1] /= 2.0 * dr
+    du[0] = (u[1] - u[0]) / dr
+    du[-1] = (u[-1] - u[-2]) / dr
     # the numerical skin where gas meets floored vacuum carries a velocity
     # jump that sharpens with resolution; it is not a steepening of the
     # solution itself, so only cells with appreciable density count. The
@@ -328,8 +431,9 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     # the cleaned initial data give the step's own signal speed, and the
     # steepening detector's scale: the initial wet-cell velocity gradient,
     # or an acoustic scale when the initial flow is at rest
-    u, _, c = _primitives(_clean(_conserved(state, params), params.gamma),
+    prim, c = _primitives(_clean(_conserved(state, params), params.gamma),
                           params.gamma)
+    u = prim[1]
     grad0 = _max_grad(state, grid, peak0)
     grad_cap = 1e3 * max(grad0, float(np.max(c)) / grid.r_max)
 

@@ -1,5 +1,6 @@
 """Grid, the profile contract, profile construction and config parsing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,15 +154,20 @@ def test_bundled_configs_parse(pytestconfig):
 
 def test_geometry_is_cached_read_only_and_invisible():
     g = RadialGrid(8.0, 1024)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         w = g.shell_weights(n)
         closed = (g.edges[1:] ** n - g.edges[:-1] ** n) / n
         assert w.tobytes() == closed.tobytes()
         assert g.shell_weights(n) is w
-        with pytest.raises(ValueError):
-            w[0] = 1.0
-        with pytest.raises(ValueError):
-            g.geometry(n).simpson[0] = 1.0
+        # the solver fills its own blocks in place; a stray write into a
+        # shared metric factor must raise instead of corrupting the grid
+        geo = g.geometry(n)
+        for field in dataclasses.fields(geo):
+            arr = getattr(geo, field.name)
+            assert arr.flags.writeable is False, field.name
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert geo.center_areas.tobytes() == (g.centers ** (n - 1.0)).tobytes()
     other = RadialGrid(8.0, 1024)
     assert g == other and hash(g) == hash(other)
     assert repr(g) == repr(other) == "RadialGrid(r_max=8.0, cells=1024)"

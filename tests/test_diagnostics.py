@@ -1,12 +1,14 @@
 """Moment integrals, functionals, rate extraction and the CSV layout."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import epblowup.diagnostics as diag
-from epblowup.core import ModelParams, ProfileSpec, RadialGrid, build_profile
+from epblowup.core import (ModelParams, ProfileSpec, RadialGrid, RadialState,
+                           build_profile)
 from epblowup.diagnostics import (
     NonuniformSpacingError,
     compute_quantities,
@@ -59,6 +61,56 @@ def test_one_integral_and_one_potential_call_per_snapshot(monkeypatch):
         monkeypatch.setattr(diag, name, counted)
     compute_quantities(st, g, P3)
     assert sorted(calls) == ["integrate_radial", "solve_potential"]
+
+
+def _compute_quantities_reference(state, g, params, seen):
+    # the six integrands as one np.stack of one temporary per operation;
+    # the row-by-row block must match it bit for bit
+    n, gamma, delta = params.n, params.gamma, params.delta
+    r = g.centers
+    rho, u = state.rho, state.u_r
+    phi = solve_potential(rho, g, n)
+    integrands = np.stack((rho, rho * u * r, rho * r**2, rho * u**2, state.p,
+                           rho * phi))
+    seen.append(integrands)
+    mass, momentum_weight, inertia, twice_e_kin, pressure_int, int_rho_phi = \
+        integrate_radial(integrands, g, n, "midpoint").tolist()
+    half_inertia = 0.5 * inertia
+    e_kin = 0.5 * twice_e_kin
+    e_int = pressure_int / (gamma - 1.0)
+    e_pot = -0.5 * delta * int_rho_phi
+    e_total = e_kin + e_int + e_pot
+    h = 2.0 * e_kin + n * (gamma - 1.0) * e_int + (n - 2.0) * e_pot
+    tau = state.time + 1.0
+    return (state.time, mass, momentum_weight, half_inertia, e_kin, e_int,
+            e_pot, e_total, h, half_inertia - tau * momentum_weight
+            + tau**2 * e_total)
+
+
+@pytest.mark.parametrize("params", [P3, ModelParams(n=4, gamma=1.4, delta=1)])
+def test_quantities_match_reference_and_leave_the_state(params, monkeypatch):
+    # the integrand blocks themselves are compared too: a sum can hide a
+    # last-bit change in one of its terms
+    seen = []
+
+    def recorded(f, *args):
+        seen.append(np.array(f))
+        return integrate_radial(f, *args)
+
+    monkeypatch.setattr(diag, "integrate_radial", recorded)
+    rng = np.random.default_rng(params.n)
+    g = RadialGrid(8.0, 257)
+    rho = np.exp(-g.centers**2) * rng.uniform(0.5, 1.5, g.cells)
+    st = RadialState(rho=rho, u_r=rng.standard_normal(g.cells),
+                     p=rho**params.gamma * rng.uniform(0.5, 1.5, g.cells),
+                     mode="EP", time=0.3)
+    before = [a.tobytes() for a in (st.rho, st.u_r, st.p)]
+    q = compute_quantities(st, g, params)
+    expected = _compute_quantities_reference(st, g, params, seen)
+    block, reference = seen
+    assert block.tobytes() == reference.tobytes()
+    assert np.array(astuple(q)).tobytes() == np.array(expected).tobytes()
+    assert [a.tobytes() for a in (st.rho, st.u_r, st.p)] == before
 
 
 def test_cauchy_schwarz_margin_and_equality():

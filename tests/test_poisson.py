@@ -18,7 +18,7 @@ import pytest
 from scipy.special import erf
 
 from epblowup.core import (ModelParams, ProfileSpec, RadialGrid,
-                           TailViolationError, build_profile)
+                           TailViolationError, build_profile, unit_ball_measure)
 from epblowup.poisson import (
     enclosed_weight_force,
     laplacian_residual,
@@ -131,3 +131,46 @@ def test_n4_ball_exterior_kernel():
     outside = r > 1.5
     mass4 = 0.5 * math.pi**2 * 1.0  # omega_4 R^4, R = 1
     assert np.allclose(phi[outside], -mass4 / r[outside] ** 2, atol=1e-10)
+
+
+# the two cumulative moments as concatenated shifted cumsums, one
+# temporary per operation: the fused kernels must match them bit for bit
+def _inner_moment_reference(rho, geo, n):
+    whole_in = rho * geo.weights
+    inner = np.concatenate(([0.0], np.cumsum(whole_in)[:-1]))
+    return inner + rho * geo.inner_cut / n
+
+
+def _solve_potential_reference(rho, g, n):
+    geo = g.geometry(n)
+    inner = _inner_moment_reference(rho, geo, n)
+    whole_out = rho * geo.shell_sq / 2.0
+    outer = np.concatenate((np.cumsum(whole_out[::-1])[::-1][1:], [0.0]))
+    outer = outer + rho * geo.outer_cut / 2.0
+    surface = n * unit_ball_measure(n)
+    return -surface * (geo.far_power * inner + outer)
+
+
+def _force_reference(rho, g, n):
+    inner = _inner_moment_reference(rho, g.geometry(n), n)
+    return n * (n - 2.0) * unit_ball_measure(n) * inner / g.centers ** (n - 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("cells", [8, 9, 257])
+def test_potential_and_force_match_reference(n, cells):
+    # densities over 25 decades with exact zeros, on even and odd grids
+    rng = np.random.default_rng(cells * n)
+    g = RadialGrid(8.0, cells)
+    rho = rng.random(cells) * 10.0 ** rng.integers(-20, 5, cells)
+    rho[::4] = 0.0
+    before = rho.tobytes()
+    phi = solve_potential(rho, g, n)
+    force = enclosed_weight_force(rho, g, n)
+    assert phi.tobytes() == _solve_potential_reference(rho, g, n).tobytes()
+    assert force.tobytes() == _force_reference(rho, g, n).tobytes()
+    # the density is only read, and the results are fresh arrays
+    assert rho.tobytes() == before
+    assert not np.shares_memory(phi, rho)
+    assert not np.shares_memory(force, rho)
+    assert not np.shares_memory(phi, force)

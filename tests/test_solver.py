@@ -17,9 +17,9 @@ import pytest
 from epblowup import diagnostics, solver
 from epblowup.core import (ModelParams, ProfileSpec, RadialGrid, RadialState,
                            build_profile, parse_config)
-from epblowup.poisson import solve_potential
-from epblowup.solver import (RunResult, SolverConfig, _clean, _minmod,
-                             _reconstruct, run, step)
+from epblowup.poisson import enclosed_weight_force, solve_potential
+from epblowup.solver import (RunResult, SolverConfig, _clean, _conserved,
+                             _max_grad, _minmod, _reconstruct, _rhs, run, step)
 from epblowup.constants import build_table
 
 P3 = ModelParams(n=3, gamma=5.0 / 3.0, delta=-1)
@@ -315,6 +315,189 @@ def test_limiter_and_reconstruction_match_reference():
             left, right = _reconstruct_reference(v[k])
             assert faces[0, k].tobytes() == left.tobytes()
             assert faces[1, k].tobytes() == right.tobytes()
+
+
+# The scheme kernels as plain expressions, one temporary per operation,
+# stacked and np.where-selected: the kernels fill their blocks in place
+# and must match these bit for bit.
+def _conserved_reference(state, params):
+    rows = [state.rho, state.rho * state.u_r]
+    if state.mode == "EP":
+        rows.append(state.p / (params.gamma - 1.0)
+                    + 0.5 * state.rho * state.u_r**2)
+    return np.stack(rows)
+
+
+def _clean_reference(U, gamma):
+    floor = solver._DENSITY_FLOOR
+    U = U.copy()
+    rho = U[0] = np.maximum(U[0], floor)
+    wet = rho > 10.0 * floor
+    U[1] = np.where(wet, U[1], 0.0)
+    if len(U) == 3:
+        e_min = 1e-12 * rho**gamma / (gamma - 1.0)
+        U[2] = np.where(wet, np.maximum(U[2], 0.5 * U[1]**2 / rho + e_min),
+                        e_min)
+    return U
+
+
+def _rhs_reference(U, g, params):
+    gamma, n = params.gamma, params.n
+    rho, mom = U[0], U[1]
+    u = mom / rho
+    if len(U) == 3:
+        p = (gamma - 1.0) * (U[2] - 0.5 * mom**2 / rho)
+    else:
+        p = rho**gamma
+    c = np.sqrt(gamma * np.maximum(p, 0.0) / rho)
+    p = np.maximum(p, 0.0)
+    # each face array is a (2, N) pair of left and right states
+    rho_f, u_f, p_f = (np.array(_reconstruct_reference(v)) for v in (rho, u, p))
+    rho_f = np.maximum(rho_f, solver._DENSITY_FLOOR)
+    p_f = np.maximum(p_f, 0.0)
+    speed_l, speed_r = np.abs(u_f) + np.sqrt(gamma * p_f / rho_f)
+    half_s = 0.5 * np.maximum(speed_l, speed_r)
+    mom_f = rho_f * u_f
+    states = [rho_f, mom_f]
+    fluxes = [mom_f, mom_f * u_f + p_f]
+    if len(U) == 3:
+        e_f = p_f / (gamma - 1.0) + 0.5 * rho_f * u_f**2
+        states.append(e_f)
+        fluxes.append((e_f + p_f) * u_f)
+    (U_l, U_r), (F_l, F_r) = np.stack(states, 1), np.stack(fluxes, 1)
+    flux = 0.5 * (F_l + F_r) - half_s * (U_r - U_l)
+    geo = g.geometry(n)
+    w = geo.weights
+    area_flux = np.concatenate((np.zeros((len(U), 1)), geo.areas[1:] * flux), 1)
+    dU = -(area_flux[:, 1:] - area_flux[:, :-1]) / w
+    dU[1] += p * geo.area_jumps / w
+    dU[1] += params.delta * rho * enclosed_weight_force(rho, g, n)
+    return dU, float((np.abs(u) + c).max())
+
+
+def _max_grad_reference(state, g, rho_scale):
+    du = np.gradient(state.u_r, g.dr)
+    wet = state.rho > 1e-6 * rho_scale
+    return float(np.abs(np.where(wet, du, 0.0)).max())
+
+
+def _scheme_inputs(seed):
+    """States and cleaned conserved rows of a cloud (IEP) and a ball (EP),
+    with every field stirred at random and dry far fields, on a grid whose
+    dr is no power of two; one wet ball cell has E below its kinetic
+    energy, so its recovered pressure is negative."""
+    g = RadialGrid(7.5, 250)
+    rng = np.random.default_rng(seed)
+    out = []
+    for spec, params, mode in (
+            (ProfileSpec(kind="gaussian", amplitude=0.25, width=1.0,
+                         velocity_kind="linear", velocity_alpha=2.0),
+             ModelParams(n=3, gamma=1.5, delta=-1), "IEP"),
+            (ProfileSpec(kind="ball", amplitude=1.0, radius=1.0,
+                         s0=1.5 * math.log(0.5)),
+             ModelParams(n=4, gamma=1.4, delta=1), "EP")):
+        state = build_profile(spec, g, params, mode=mode)
+        state = replace(state,
+                        rho=state.rho * rng.uniform(0.5, 1.5, g.cells),
+                        u_r=state.u_r + 0.1 * rng.standard_normal(g.cells),
+                        p=state.p * rng.uniform(0.5, 1.5, g.cells))
+        U = _clean(_conserved(state, params), params.gamma)
+        if len(U) == 3:
+            U[2, 10] = 0.25 * U[1, 10]**2 / U[0, 10]
+        out.append((state, params, U))
+    return g, out
+
+
+def _step_reference(state, g, params, dt):
+    # the Heun stages on whole temporaries, fixed dt
+    gamma = params.gamma
+    U0 = _clean_reference(_conserved_reference(state, params), gamma)
+    dU0, _ = _rhs_reference(U0, g, params)
+    U1 = _clean_reference(U0 + dt * dU0, gamma)
+    dU1, _ = _rhs_reference(U1, g, params)
+    return _clean_reference(0.5 * (U0 + U1 + dt * dU1), gamma)
+
+
+SEEDS = range(8)
+
+
+def test_conserved_and_clean_match_reference():
+    for seed in SEEDS:
+        g, cases = _scheme_inputs(seed)
+        for state, params, _ in cases:
+            fields = (state.rho, state.u_r, state.p)
+            before = [a.tobytes() for a in fields]
+            U = _conserved(state, params)
+            assert U.tobytes() == _conserved_reference(state, params).tobytes()
+            assert [a.tobytes() for a in fields] == before
+            assert not any(np.shares_memory(U, a) for a in fields)
+            expected = _clean_reference(U, params.gamma)
+            assert _clean(U, params.gamma).tobytes() == expected.tobytes()
+    # floored, vacuum, nan and signed-zero entries, both row counts
+    floor, gamma = solver._DENSITY_FLOOR, P3.gamma
+    U = np.array([[1.0, 0.0, 10.0 * floor, 11.0 * floor, np.nan, 2.0, -1.0],
+                  [-0.0, 3.0, 4.0, -0.0, 1.0, np.inf, 2.0],
+                  [1.0, -5.0, 1e3, 0.0, 1.0, 7.0, np.nan]])
+    for rows in (2, 3):
+        expected = _clean_reference(U[:rows], gamma)
+        assert _clean(U[:rows].copy(), gamma).tobytes() == expected.tobytes()
+
+
+def test_rhs_matches_reference_and_leaves_its_input():
+    for seed in SEEDS:
+        g, cases = _scheme_inputs(seed)
+        for _, params, U in cases:
+            before = U.tobytes()
+            dU, speed = _rhs(U, g, params)
+            dU_ref, speed_ref = _rhs_reference(U, g, params)
+            assert dU.tobytes() == dU_ref.tobytes()
+            assert speed == speed_ref
+            assert U.tobytes() == before
+            assert not np.shares_memory(dU, U)
+
+
+def test_max_grad_matches_gradient_form():
+    for seed in SEEDS:
+        g, cases = _scheme_inputs(seed)
+        for state, _, _ in cases:
+            for scale in (1.0, 1e-3, 1e9):
+                assert (_max_grad(state, g, scale)
+                        == _max_grad_reference(state, g, scale))
+    # steepest at the first or the last cell: the one-sided differences
+    rng = np.random.default_rng(7)
+    for edge in (0, -1) * 8:
+        u = 1e-3 * rng.standard_normal(g.cells)
+        u[edge] = rng.standard_normal()
+        state = RadialState(rho=np.ones(g.cells), u_r=u, p=np.ones(g.cells),
+                            mode="IEP")
+        assert _max_grad(state, g, 1.0) == _max_grad_reference(state, g, 1.0)
+
+
+def test_step_matches_reference_and_leaves_its_input():
+    # each call fills fresh blocks: the input state is only read, and two
+    # calls from one state share no buffer and agree to the last bit
+    cfg = SolverConfig(t_end=1.0, fixed_dt=1e-3)
+    for seed in SEEDS:
+        g, cases = _scheme_inputs(seed)
+        for state, params, _ in cases:
+            fields = (state.rho, state.u_r, state.p)
+            before = [a.tobytes() for a in fields]
+            first, info1 = step(state, g, params, cfg, dt=1e-3)
+            second, info2 = step(state, g, params, cfg, dt=1e-3)
+            U2 = _step_reference(state, g, params, 1e-3)
+            rho, mom = U2[0], U2[1]
+            p = ((params.gamma - 1.0) * (U2[2] - 0.5 * mom**2 / rho)
+                 if len(U2) == 3 else rho**params.gamma)
+            assert first.rho.tobytes() == rho.tobytes()
+            assert first.u_r.tobytes() == (mom / rho).tobytes()
+            assert first.p.tobytes() == p.tobytes()
+            assert [a.tobytes() for a in fields] == before
+            assert info1 == info2
+            for name in ("rho", "u_r", "p"):
+                a, b = getattr(first, name), getattr(second, name)
+                assert a.tobytes() == b.tobytes()
+                assert not np.shares_memory(a, b)
+                assert not any(np.shares_memory(a, f) for f in fields)
 
 
 def test_sampling_stride_changes_no_bit():
