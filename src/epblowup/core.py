@@ -391,14 +391,14 @@ def build_profile(
 #   grid.r_max, grid.cells
 #   model.n, model.gamma, model.delta
 #   chlp                 Fourier-inequality constant, positive
-#   solver.cfl, solver.t_end, solver.output_stride
+#   solver.cfl, solver.t_end  run controls; every step is sampled
 
 _FLOAT_KEYS = {
     "amplitude", "width", "radius", "velocity.alpha", "entropy.s0",
     "grid.r_max", "model.gamma", "chlp",
     "solver.cfl", "solver.t_end",
 }
-_INT_KEYS = {"grid.cells", "model.n", "model.delta", "solver.output_stride"}
+_INT_KEYS = {"grid.cells", "model.n", "model.delta"}
 _STR_KEYS = {"mode", "kind", "velocity.kind"}
 _LIST_KEYS = {"table.r", "table.rho", "table.u", "table.s"}
 

@@ -6,7 +6,8 @@ volumes and r**(n-1) face areas, Rusanov (local Lax-Friedrichs) fluxes on
 minmod MUSCL face states and two-stage Heun time stepping.  Each stage takes
 the interaction force dPhi/dr of its own density from the enclosed moment
 (poisson.enclosed_weight_force), so stepping never solves for Phi; Phi is
-solved only inside diagnostics.compute_quantities, once per sampled state.
+solved only inside diagnostics.compute_quantities, once per sampled state;
+every step is sampled.
 
 A step works on one stacked array U of conserved rows:
   IEP  -- (rho, rho u),       pressure rho**gamma;
@@ -19,7 +20,9 @@ follows every update: it floors the density and makes cells at or below ten
 times the floor inert vacuum -- zero momentum and, in EP mode, exactly the
 cold-adiabat energy -- while wet EP energy is held at or above that adiabat.
 The signal speed max(|u| + c) of the cleaned input bounds the step; since
-vacuum cells are cold, it reads the gas.
+vacuum cells are cold, it reads the gas.  The density floor and the clamp of
+the recovered pressure at zero act on cells; the minmod reconstruction
+preserves both, so the face states need no second clamp.
 
 The momentum source splits into the well-balanced geometric part
 p (a_out - a_in) / w -- which cancels the flux of a uniform pressure
@@ -47,7 +50,6 @@ step, or when max |d(u_r)/dr| exceeds a thousand times its initial scale
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,13 +72,12 @@ class SolverConfig:
     """Run controls.
 
     fixed_dt pins the step size (refinement studies); otherwise the step
-    adapts to cfl * dr / max(|u| + c).  output_stride samples diagnostics
-    every so many steps.
+    adapts to cfl * dr / max(|u| + c).  run() samples diagnostics after
+    every step.
     """
 
     t_end: float
     cfl: float = 0.4
-    output_stride: int = 1
     fixed_dt: Optional[float] = None
 
     def __post_init__(self):
@@ -84,13 +85,15 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if not (isinstance(self.output_stride, numbers.Integral)
-                and self.output_stride >= 1):
-            raise ValueError(
-                f"output_stride must be an integer >= 1, got {self.output_stride!r}")
         if self.fixed_dt is not None and not (0.0 < self.fixed_dt < math.inf):
             raise ValueError(
                 f"fixed_dt must be positive and finite when given, got {self.fixed_dt}")
+
+
+def _drift_rel(series: list[float]) -> float:
+    """max |x - x0| / max(|x0|, 1e-300) over a series that starts at x0."""
+    x0 = series[0]
+    return max(abs(x - x0) for x in series) / max(abs(x0), 1e-300)
 
 
 @dataclass
@@ -118,26 +121,21 @@ class RunResult:
 
     def summary(self) -> dict:
         qs = self.quantities
-        m0 = qs[0].mass
         out = {
             "stop_reason": self.stop_reason,
             "steps": self.steps_taken,
             "t_final": qs[-1].time,
             "samples": len(qs),
-            "mass_drift_rel": max(abs(q.mass - m0) for q in qs) / abs(m0),
+            "mass_drift_rel": _drift_rel([q.mass for q in qs]),
             "max_grad_u": self.max_grad_u,
         }
         # each mode has its own conserved energy; the other one is not a law
         if self.final_state.mode == "IEP":
-            out["ie_drift_rel"] = max(
-                abs(q.e_total - qs[0].e_total) for q in qs
-            ) / max(abs(qs[0].e_total), 1e-300)
+            out["ie_drift_rel"] = _drift_rel([q.e_total for q in qs])
             out["ek_ei_drift_rel"] = None
         else:
             out["ie_drift_rel"] = None
-            out["ek_ei_drift_rel"] = max(
-                abs((q.e_kin + q.e_int) - (qs[0].e_kin + qs[0].e_int)) for q in qs
-            ) / max(abs(qs[0].e_kin + qs[0].e_int), 1e-300)
+            out["ek_ei_drift_rel"] = _drift_rel([q.e_kin + q.e_int for q in qs])
         if self.min_entropy is not None:
             out["min_entropy"] = self.min_entropy
         # identity residuals need uniform sampling; report null otherwise
@@ -160,18 +158,18 @@ class RunResult:
 # Scheme internals
 # --------------------------------------------------------------------------
 
-def _conserved(state: RadialState, params: ModelParams) -> np.ndarray:
-    """The state's conserved rows (rho, rho u), plus E in EP mode, as one
-    fresh block."""
-    rho, u = state.rho, state.u_r
-    U = np.empty((3 if state.mode == "EP" else 2, len(rho)))
-    U[0] = rho
-    np.multiply(rho, u, out=U[1])
-    if state.mode == "EP":
+def _conserved(rho: np.ndarray, u: np.ndarray, p: np.ndarray, gamma: float,
+               energy: bool) -> np.ndarray:
+    """Conserved rows (rho, rho u), plus E when energy is set, of primitives
+    with any leading axes, as one fresh (..., rows, N) block."""
+    U = np.empty(rho.shape[:-1] + (3 if energy else 2, rho.shape[-1]))
+    U[..., 0, :] = rho
+    np.multiply(rho, u, out=U[..., 1, :])
+    if energy:
         # E = p / (gamma - 1) + (0.5 rho) u**2
-        e = np.multiply(u, u, out=U[2])
+        e = np.multiply(u, u, out=U[..., 2, :])
         e *= 0.5 * rho
-        e += state.p / (params.gamma - 1.0)
+        e += p / (gamma - 1.0)
     return U
 
 
@@ -252,7 +250,14 @@ def _minmod(a: np.ndarray, b: np.ndarray,
 
 def _reconstruct(v: np.ndarray) -> np.ndarray:
     """Minmod MUSCL face states of each row of v at interior faces 1..N-1
-    plus the outflow face N, stacked as one (2, rows, N) array [left, right]."""
+    plus the outflow face N, stacked as one (2, rows, N) array [left, right].
+
+    No face of a row lies below the row's smallest value: a limited face
+    lies between its cell's value a and the midpoint with a neighbour b,
+    and fl(a - fl(0.5 fl(a - b))) >= b whenever a >= b, because rounding is
+    monotone; the first, last and outflow faces copy cells.  A floor or a
+    clamp that holds on the cells therefore holds on the faces.
+    """
     rows, cells = v.shape
     # all rows go through one pass over the flattened array; the entries
     # that straddle two rows are overwritten by the outflow faces below
@@ -288,11 +293,10 @@ def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams):
     speed = float(c.max())
 
     # every face quantity below is a (2, ...) pair of left and right
-    # states; half_s = 0.5 max(signal_l, signal_r)
+    # states, floored and clamped as the cells are (_reconstruct);
+    # half_s = 0.5 max(signal_l, signal_r)
     faces = _reconstruct(prim)
     rho_f, u_f, p_f = faces[:, 0], faces[:, 1], faces[:, 2]
-    np.maximum(p_f, 0.0, out=p_f)
-    np.maximum(rho_f, _DENSITY_FLOOR, out=rho_f)
     signal_f = np.multiply(p_f, gamma)
     signal_f /= rho_f
     np.sqrt(signal_f, out=signal_f)
@@ -301,20 +305,15 @@ def _rhs(U: np.ndarray, grid: RadialGrid, params: ModelParams):
     half_s *= 0.5
 
     # conserved face states (rho, mom, E) and their fluxes
-    # (mom, mom u + p, (E + p) u), one (2, rows, N) block each, with
-    # mom = rho u and E = p / (gamma - 1) + (0.5 rho) u**2
-    states = np.empty((2, rows, cells))
+    # (mom, mom u + p, (E + p) u), one (2, rows, N) block each
+    states = _conserved(rho_f, u_f, p_f, gamma, rows == 3)
     fluxes = np.empty((2, rows, cells))
-    states[:, 0] = rho_f
-    mom_f = np.multiply(rho_f, u_f, out=states[:, 1])
+    mom_f = states[:, 1]
     fluxes[:, 0] = mom_f
     np.multiply(mom_f, u_f, out=fluxes[:, 1])
     fluxes[:, 1] += p_f
     if rows == 3:
-        e_f = np.multiply(u_f, u_f, out=states[:, 2])
-        e_f *= 0.5 * rho_f
-        e_f += p_f / (gamma - 1.0)
-        np.add(e_f, p_f, out=fluxes[:, 2])
+        np.add(states[:, 2], p_f, out=fluxes[:, 2])
         fluxes[:, 2] *= u_f
 
     # Rusanov flux 0.5 (F_l + F_r) - half_s (U_r - U_l) over all rows at
@@ -360,7 +359,8 @@ def step(state: RadialState, grid: RadialGrid, params: ModelParams,
     pressure without a clamp at zero.
     """
     gamma = params.gamma
-    U0 = _clean(_conserved(state, params), gamma)
+    U0 = _clean(_conserved(state.rho, state.u_r, state.p, gamma,
+                           state.mode == "EP"), gamma)
     dU0, speed = _rhs(U0, grid, params)
     dt_cfl = cfg.cfl * grid.dr / max(speed, 1e-300)
     if cfg.fixed_dt is None:
@@ -415,9 +415,9 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     and step() holds it to its CFL limit.  The base step is the initial CFL
     limit with 10% headroom, rounded to divide t_end; healthy runs therefore
     sample at exactly uniform times, and the series only turns nonuniform
-    when the flow genuinely accelerates.  Each sample is one
-    compute_quantities call, which solves the sampled state's potential;
-    the final state is sampled once, whether the loop sampled it or not.
+    when the flow genuinely accelerates.  The initial state and every
+    step are sampled, each with one compute_quantities call, which solves
+    the sampled state's potential.
     """
     peak0 = float(np.max(state.rho))
     if peak0 <= 0.0:
@@ -431,8 +431,10 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
     # the cleaned initial data give the step's own signal speed, and the
     # steepening detector's scale: the initial wet-cell velocity gradient,
     # or an acoustic scale when the initial flow is at rest
-    prim, c = _primitives(_clean(_conserved(state, params), params.gamma),
-                          params.gamma)
+    gamma = params.gamma
+    U0 = _clean(_conserved(state.rho, state.u_r, state.p, gamma,
+                           state.mode == "EP"), gamma)
+    prim, c = _primitives(U0, gamma)
     u = prim[1]
     grad0 = _max_grad(state, grid, peak0)
     grad_cap = 1e3 * max(grad0, float(np.max(c)) / grid.r_max)
@@ -459,34 +461,21 @@ def run(state: RadialState, grid: RadialGrid, params: ModelParams,
 
     stop_reason = "t_end"
     steps = 0
-    sampled = current = state
-    while current.time < cfg.t_end - 1e-12 * cfg.t_end:
-        nxt, info = step(current, grid, params, cfg,
-                         min(dt_base, cfg.t_end - current.time))
+    current = state
+    while (stop_reason == "t_end"
+           and current.time < cfg.t_end - 1e-12 * cfg.t_end):
+        current, info = step(current, grid, params, cfg,
+                             min(dt_base, cfg.t_end - current.time))
         steps += 1
+        max_grad = _max_grad(current, grid, peak0)
+        sample(current, max_grad)
         if not info["positive"]:
             stop_reason = "positivity"
-            current = nxt
-            break
-        if info["dt"] < 1e-13 * cfg.t_end:
+        elif info["dt"] < 1e-13 * cfg.t_end:
             stop_reason = "cfl"
-            current = nxt
-            break
-        current = nxt
-
-        max_grad = _max_grad(current, grid, peak0)
-        sample_due = (steps % cfg.output_stride == 0) or (
-            current.time >= cfg.t_end - 1e-12 * cfg.t_end)
-        if sample_due:
-            sample(current, max_grad)
-            sampled = current
-        if max_grad > grad_cap:
+        elif max_grad > grad_cap:
             stop_reason = "gradient-blowup"
-            break
 
-    # record the final state if the loop left it unsampled
-    if sampled is not current:
-        sample(current, _max_grad(current, grid, peak0))
     return RunResult(
         quantities=quantities,
         stop_reason=stop_reason,

@@ -284,6 +284,8 @@ BAD_INPUTS = [
     ("simulate", "solver.t_end = 0.05", ["--t-end", "inf"]),
     # not a config key: the density floor is fixed
     ("simulate", "solver.density_floor = 1e-14", []),
+    # not a config key: every step is sampled
+    ("simulate", "solver.output_stride = 2", []),
 ]
 
 
